@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import BudgetExceeded
-from .events import EventKind, MorseWord, require_knot
+from .events import EventKind, MorseWord, _UnionFind, require_knot
 
 MAX_STATE_SUM_CROSSINGS = 18
 
@@ -165,29 +165,10 @@ def planar_diagram(word: MorseWord) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings), tuple(wires), counter)
 
 
-class _Forest:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _arc_structure(diagram: PlanarDiagram) -> tuple[list[tuple[int, ...]], int, int]:
     """Contract wires: returns (per-crossing arc ids for bl,br,tl,tr ports,
     number of arcs, number of crossing-free circles)."""
-    forest = _Forest(diagram.point_count)
+    forest = _UnionFind(diagram.point_count)
     for p, q in diagram.wires:
         forest.union(p, q)
     arc_of: dict[int, int] = {}
@@ -224,7 +205,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
 
     acc: dict[int, int] = {}
     for mask in range(1 << c):
-        forest = _Forest(arc_count)
+        forest = _UnionFind(arc_count)
         b = 0
         for t in range(c):
             bl, br, tl, tr = per_crossing[t]

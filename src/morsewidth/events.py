@@ -77,8 +77,8 @@ def cross(index: int, sign: int) -> MorseEvent:
 class _UnionFind:
     __slots__ = ("parent",)
 
-    def __init__(self):
-        self.parent: list[int] = []
+    def __init__(self, size: int = 0):
+        self.parent: list[int] = list(range(size))
 
     def make(self) -> int:
         self.parent.append(len(self.parent))
@@ -174,18 +174,13 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
     return _Trace(tuple(counts), tuple(violations), closed, len(slots) // 2)
 
 
-def validate(
-    events: Iterable[MorseEvent], boundary_strands: int = 0, knot: bool = True
-) -> list[Violation]:
-    """Validity report for an event sequence; empty means valid.
-
-    ``boundary_strands`` selects tangle mode (counts start there and no
-    component may close).  With ``knot=True`` a closed word must also trace
-    to exactly one component; links are reported as MultipleComponents.
-    """
-    events = tuple(events)
+def _validated_trace(
+    events: tuple[MorseEvent, ...], boundary_strands: int, knot: bool
+) -> tuple[_Trace | None, list[Violation]]:
+    """One simulation of ``events`` and every violation it shows; the
+    trace is None for an empty closed word, which is not simulated."""
     if not events and boundary_strands == 0:
-        return [Violation("EmptyWord", 0, "word has no events")]
+        return None, [Violation("EmptyWord", 0, "word has no events")]
     trace = _simulate(events, boundary_strands, tangle=boundary_strands > 0)
     violations = list(trace.violations)
     if boundary_strands == 0 and knot and not violations:
@@ -197,7 +192,19 @@ def validate(
                     f"{trace.closed_components} closed components, expected 1",
                 )
             )
-    return violations
+    return trace, violations
+
+
+def validate(
+    events: Iterable[MorseEvent], boundary_strands: int = 0, knot: bool = True
+) -> list[Violation]:
+    """Validity report for an event sequence; empty means valid.
+
+    ``boundary_strands`` selects tangle mode (counts start there and no
+    component may close).  With ``knot=True`` a closed word must also trace
+    to exactly one component; links are reported as MultipleComponents.
+    """
+    return _validated_trace(tuple(events), boundary_strands, knot)[1]
 
 
 class MorseWord:
@@ -211,10 +218,9 @@ class MorseWord:
 
     def __init__(self, events: Iterable[MorseEvent]):
         self.events: tuple[MorseEvent, ...] = tuple(events)
-        bad = validate(self.events, knot=False)
+        trace, bad = _validated_trace(self.events, 0, knot=False)
         if bad:
             raise ValidationError(bad)
-        trace = _simulate(self.events, 0, tangle=False)
         self.counts: tuple[int, ...] = trace.counts
         self.component_count: int = trace.closed_components
 
@@ -256,10 +262,9 @@ class TangleWord:
             )
         self.boundary_strands = boundary_strands
         self.events: tuple[MorseEvent, ...] = tuple(events)
-        bad = validate(self.events, boundary_strands=boundary_strands)
+        trace, bad = _validated_trace(self.events, boundary_strands, knot=True)
         if bad:
             raise ValidationError(bad)
-        trace = _simulate(self.events, boundary_strands, tangle=True)
         self.counts: tuple[int, ...] = trace.counts
         self.component_count: int = trace.closed_components  # always 0
 

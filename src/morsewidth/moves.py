@@ -19,6 +19,13 @@ presented diagram, and each move has an inverse move in the system:
 * YangBaxter      -- braid relation: Cross(i,s) Cross(i+1,s) Cross(i,s)
                      <-> Cross(i+1,s) Cross(i,s) Cross(i+1,s).
 
+Each kind is one entry of the rule table ``_RULES``: the number of events
+it replaces at its site (its window), its length delta, whether it changes
+the writhe, ``params`` (the parameters valid for a window and the strand
+count below it: the kind's only validity predicate) and ``rewrite`` (the
+window's replacement).  Enumeration, application, inverses, LENGTH_DELTA
+and WRITHE_CHANGING all derive from the table, with no per-kind code.
+
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
 between them by 4) and from zig-zag insertion/cancellation.  Sites are
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Sequence
 
 from .errors import InvalidMove
 from .events import EventKind, MorseEvent, MorseWord, cap, cross, cup
@@ -48,26 +56,6 @@ class MoveKind(Enum):
 
 _KIND_ORDER = {k: n for n, k in enumerate(MoveKind)}
 
-# Net change in event count, used for insertion budgets.
-LENGTH_DELTA = {
-    MoveKind.COMMUTE_DISTANT: 0,
-    MoveKind.YANG_BAXTER: 0,
-    MoveKind.ZIGZAG_CANCEL: -2,
-    MoveKind.R2_CANCEL: -2,
-    MoveKind.R1_ABSORB: -1,
-    MoveKind.CAP_ABSORB_CROSS: -1,
-    MoveKind.ZIGZAG_INSERT: +2,
-    MoveKind.R2_INSERT: +2,
-    MoveKind.R1_INSERT: +1,
-}
-
-# Moves that change the diagram's writhe (first Reidemeister family).
-# The Kauffman bracket picks up a -A^{+-3} factor under these; the
-# writhe-normalized bracket is invariant under all kinds.
-WRITHE_CHANGING = frozenset(
-    {MoveKind.R1_ABSORB, MoveKind.R1_INSERT, MoveKind.CAP_ABSORB_CROSS}
-)
-
 
 @dataclass(frozen=True, order=True)
 class Move:
@@ -84,83 +72,143 @@ class Move:
         return f"{self.kind.value}@{self.site}" + (f"({inner})" if inner else "")
 
 
+_Window = Sequence[MorseEvent]
+
+
 def _support(event: MorseEvent, lower: bool) -> tuple[int, int]:
     """Occupied interval at the level between two adjacent events, in
     doubled coordinates (strand p -> 2p, the slot left of p -> 2p-1)."""
     i = event.index
-    if lower:
-        # Seen from above: a cup's newborn strands, a cap's scar slot.
-        if event.kind is EventKind.CAP:
-            return (2 * i - 1, 2 * i - 1)
-        return (2 * i, 2 * i + 2)
+    # Seen from above (lower): a cup's newborn strands, a cap's scar slot.
     # Seen from below: a cup's insertion slot, a cap's consumed strands.
-    if event.kind is EventKind.CUP:
-        return (2 * i - 1, 2 * i - 1)
-    return (2 * i, 2 * i + 2)
+    slot_kind = EventKind.CAP if lower else EventKind.CUP
+    return (2 * i - 1, 2 * i - 1) if event.kind is slot_kind else (2 * i, 2 * i + 2)
 
 
 _SHIFT = {EventKind.CUP: +2, EventKind.CAP: -2, EventKind.CROSS: 0}
 
 
-def _shifted(event: MorseEvent, delta: int) -> MorseEvent:
-    return MorseEvent(event.kind, event.index + delta, event.sign)
-
-
-def _commute_pair(
-    e1: MorseEvent, e2: MorseEvent, side: str = ""
-) -> tuple[MorseEvent, MorseEvent] | None:
-    """Swapped pair (e2', e1') when e1;e2 commute as distant events."""
-    if (
-        e1.kind is EventKind.CAP
-        and e2.kind is EventKind.CUP
-        and e1.index == e2.index
-    ):
+def _commute_params(window: _Window, strands_below: int) -> list[tuple]:
+    e1, e2 = window
+    if e1.kind is EventKind.CAP and e2.kind is EventKind.CUP and e1.index == e2.index:
         # Coincident scar and rebirth slot: both resolutions are valid
         # height exchanges; 'side' says where the cup lands below.
-        i = e1.index
-        if side == "left":
-            return (cup(i), cap(i + 2))
-        if side == "right":
-            return (cup(i + 2), cap(i))
-        return None
-    if side:
-        return None
+        return [("left",), ("right",)]
     lo1, hi1 = _support(e1, lower=True)
     lo2, hi2 = _support(e2, lower=False)
-    if hi2 < lo1:  # e2 acts entirely below e1's support
-        return (e2, _shifted(e1, _SHIFT[e2.kind]))
-    if lo2 > hi1:  # e2 acts entirely above
-        return (_shifted(e2, -_SHIFT[e1.kind]), e1)
-    return None
+    return [()] if hi2 < lo1 or lo2 > hi1 else []
 
 
-def _is_zigzag(e1: MorseEvent, e2: MorseEvent) -> bool:
-    return (
-        e1.kind is EventKind.CUP
-        and e2.kind is EventKind.CAP
-        and abs(e2.index - e1.index) == 1
-    )
+def _commute(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
+    """Swapped pair (e2', e1') of a distant pair e1;e2."""
+    e1, e2 = window
+    if params:
+        i = e1.index
+        return (cup(i), cap(i + 2)) if params == ("left",) else (cup(i + 2), cap(i))
+    if _support(e2, lower=False)[1] < _support(e1, lower=True)[0]:
+        # e2 acts entirely below e1's support
+        return (e2, MorseEvent(e1.kind, e1.index + _SHIFT[e2.kind], e1.sign))
+    return (MorseEvent(e2.kind, e2.index - _SHIFT[e1.kind], e2.sign), e1)
 
 
-def _is_r2(e1: MorseEvent, e2: MorseEvent) -> bool:
-    return (
-        e1.kind is EventKind.CROSS
-        and e2.kind is EventKind.CROSS
-        and e1.index == e2.index
-        and e1.sign == -e2.sign
-    )
+def _zigzag_params(window: _Window, strands_below: int) -> list[tuple]:
+    e1, e2 = window  # a finger poking an existing strand
+    kinds_match = e1.kind is EventKind.CUP and e2.kind is EventKind.CAP
+    return [()] if kinds_match and abs(e2.index - e1.index) == 1 else []
 
 
-def _yang_baxter(e1: MorseEvent, e2: MorseEvent, e3: MorseEvent):
-    if not (
-        e1.kind is e2.kind is e3.kind is EventKind.CROSS
-        and e1.sign == e2.sign == e3.sign
-        and e1.index == e3.index
-        and abs(e2.index - e1.index) == 1
-    ):
-        return None
+def _zigzag_insert_params(window: _Window, strands_below: int) -> list[tuple]:
+    left = [(i, "left") for i in range(2, strands_below + 2)]  # cap above at i-1
+    right = [(i, "right") for i in range(1, strands_below + 1)]  # cap above at i+1
+    return sorted(left + right)
+
+
+def _zigzag_insert(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
+    i, side = params
+    return (cup(i), cap(i + 1 if side == "right" else i - 1))
+
+
+def _r1_absorb_params(window: _Window, strands_below: int) -> list[tuple]:
+    e1, e2 = window  # a kink at a minimum
+    kinds_match = e1.kind is EventKind.CUP and e2.kind is EventKind.CROSS
+    return [()] if kinds_match and e2.index == e1.index else []
+
+
+def _r1_insert_params(window: _Window, strands_below: int) -> list[tuple]:
+    kind = window[0].kind
+    at = "cup" if kind is EventKind.CUP else "cap"
+    return [] if kind is EventKind.CROSS else [(-1, at), (1, at)]
+
+
+def _r1_insert(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
+    (e,) = window
+    s, at = params
+    kink = cross(e.index, s)
+    return (e, kink) if at == "cup" else (kink, e)
+
+
+def _r2_params(window: _Window, strands_below: int) -> list[tuple]:
+    e1, e2 = window  # a crossing followed by its inverse
+    kinds_match = e1.kind is e2.kind is EventKind.CROSS
+    return [()] if kinds_match and e1.index == e2.index and e1.sign == -e2.sign else []
+
+
+def _r2_insert_params(window: _Window, strands_below: int) -> list[tuple]:
+    return [(i, s) for i in range(1, strands_below) for s in (-1, 1)]
+
+
+def _r2_insert(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
+    i, s = params
+    return (cross(i, s), cross(i, -s))
+
+
+def _yang_baxter_params(window: _Window, strands_below: int) -> list[tuple]:
+    e1, e2, e3 = window
+    kinds_match = e1.kind is e2.kind is e3.kind is EventKind.CROSS
+    braid = e1.index == e3.index and abs(e2.index - e1.index) == 1
+    return [()] if kinds_match and braid and e1.sign == e2.sign == e3.sign else []
+
+
+def _yang_baxter(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
+    e1, e2, _ = window
     s = e1.sign
     return (cross(e2.index, s), cross(e1.index, s), cross(e2.index, s))
+
+
+def _cap_absorb_params(window: _Window, strands_below: int) -> list[tuple]:
+    e1, e2 = window  # a kink at a maximum
+    kinds_match = e1.kind is EventKind.CROSS and e2.kind is EventKind.CAP
+    return [()] if kinds_match and e2.index == e1.index else []
+
+
+@dataclass(frozen=True)
+class _Rule:
+    width: int  # events replaced at the site
+    length_delta: int  # net change in event count, used for insertion budgets
+    writhe_changing: bool
+    params: Callable[[_Window, int], list[tuple]]
+    rewrite: Callable[[_Window, tuple], tuple[MorseEvent, ...]]
+
+
+# One entry per kind, in MoveKind order (the enumeration order at a site).
+_RULES: dict[MoveKind, _Rule] = {
+    MoveKind.COMMUTE_DISTANT: _Rule(2, 0, False, _commute_params, _commute),
+    MoveKind.ZIGZAG_CANCEL: _Rule(2, -2, False, _zigzag_params, lambda w, p: ()),
+    MoveKind.ZIGZAG_INSERT: _Rule(0, +2, False, _zigzag_insert_params, _zigzag_insert),
+    MoveKind.R1_ABSORB: _Rule(2, -1, True, _r1_absorb_params, lambda w, p: w[:1]),
+    MoveKind.R1_INSERT: _Rule(1, +1, True, _r1_insert_params, _r1_insert),
+    MoveKind.R2_CANCEL: _Rule(2, -2, False, _r2_params, lambda w, p: ()),
+    MoveKind.R2_INSERT: _Rule(0, +2, False, _r2_insert_params, _r2_insert),
+    MoveKind.YANG_BAXTER: _Rule(3, 0, False, _yang_baxter_params, _yang_baxter),
+    MoveKind.CAP_ABSORB_CROSS: _Rule(2, -1, True, _cap_absorb_params, lambda w, p: w[1:]),
+}
+
+LENGTH_DELTA = {kind: rule.length_delta for kind, rule in _RULES.items()}
+
+# Moves that change the diagram's writhe (first Reidemeister family).
+# The Kauffman bracket picks up a -A^{+-3} factor under these; the
+# writhe-normalized bracket is invariant under all kinds.
+WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe_changing)
 
 
 def enumerate_moves(word: MorseWord) -> list[Move]:
@@ -170,172 +218,46 @@ def enumerate_moves(word: MorseWord) -> list[Move]:
     ev = word.events
     counts = word.counts
     moves: list[Move] = []
-
-    for k in range(len(ev) - 1):
-        a, b = ev[k], ev[k + 1]
-        if a.kind is EventKind.CAP and b.kind is EventKind.CUP and a.index == b.index:
-            moves.append(Move(MoveKind.COMMUTE_DISTANT, k, ("left",)))
-            moves.append(Move(MoveKind.COMMUTE_DISTANT, k, ("right",)))
-        elif _commute_pair(a, b) is not None:
-            moves.append(Move(MoveKind.COMMUTE_DISTANT, k))
-        if _is_zigzag(a, b):
-            moves.append(Move(MoveKind.ZIGZAG_CANCEL, k))
-        if _is_r2(a, b):
-            moves.append(Move(MoveKind.R2_CANCEL, k))
-        if (
-            a.kind is EventKind.CUP
-            and b.kind is EventKind.CROSS
-            and b.index == a.index
-        ):
-            moves.append(Move(MoveKind.R1_ABSORB, k))
-        if (
-            a.kind is EventKind.CROSS
-            and b.kind is EventKind.CAP
-            and b.index == a.index
-        ):
-            moves.append(Move(MoveKind.CAP_ABSORB_CROSS, k))
-
-    for k in range(len(ev) - 2):
-        if _yang_baxter(ev[k], ev[k + 1], ev[k + 2]) is not None:
-            moves.append(Move(MoveKind.YANG_BAXTER, k))
-
-    for k, e in enumerate(ev):
-        if e.kind is EventKind.CUP:
-            for s in (+1, -1):
-                moves.append(Move(MoveKind.R1_INSERT, k, (s, "cup")))
-        elif e.kind is EventKind.CAP:
-            for s in (+1, -1):
-                moves.append(Move(MoveKind.R1_INSERT, k, (s, "cap")))
-
     for k in range(len(ev) + 1):
-        n = counts[k]
-        for i in range(1, n + 1):  # cap above at i+1
-            moves.append(Move(MoveKind.ZIGZAG_INSERT, k, (i, "right")))
-        for i in range(2, n + 2):  # cap above at i-1
-            moves.append(Move(MoveKind.ZIGZAG_INSERT, k, (i, "left")))
-        for i in range(1, n):
-            for s in (+1, -1):
-                moves.append(Move(MoveKind.R2_INSERT, k, (i, s)))
-
-    moves.sort(key=Move.sort_key)
+        for kind, rule in _RULES.items():
+            end = k + rule.width
+            if end <= len(ev):
+                for params in rule.params(ev[k:end], counts[k]):
+                    moves.append(Move(kind, k, params))
     return moves
-
-
-def _checked(word: MorseWord, move: Move, condition: bool) -> None:
-    if not condition:
-        raise InvalidMove(f"{move} does not apply to {word}")
 
 
 def apply_move(word: MorseWord, move: Move) -> MorseWord:
     """Apply one move; InvalidMove if its predicate fails at the site."""
-    ev = list(word.events)
+    ev = word.events
     k = move.site
-    kind = move.kind
-
-    if kind in (MoveKind.ZIGZAG_INSERT, MoveKind.R2_INSERT):
-        _checked(word, move, 0 <= k <= len(ev))
-    elif kind is MoveKind.YANG_BAXTER:
-        _checked(word, move, 0 <= k <= len(ev) - 3)
-    elif kind is MoveKind.R1_INSERT:
-        _checked(word, move, 0 <= k <= len(ev) - 1)
-    else:
-        _checked(word, move, 0 <= k <= len(ev) - 2)
-
-    if kind is MoveKind.COMMUTE_DISTANT:
-        side = move.params[0] if move.params else ""
-        swapped = _commute_pair(ev[k], ev[k + 1], side)
-        _checked(word, move, swapped is not None)
-        ev[k], ev[k + 1] = swapped
-    elif kind is MoveKind.ZIGZAG_CANCEL:
-        _checked(word, move, _is_zigzag(ev[k], ev[k + 1]))
-        del ev[k : k + 2]
-    elif kind is MoveKind.ZIGZAG_INSERT:
-        i, side = move.params
-        n = word.counts[k]
-        if side == "right":
-            _checked(word, move, 1 <= i <= n)
-            ev[k:k] = [cup(i), cap(i + 1)]
-        else:
-            _checked(word, move, side == "left" and 2 <= i <= n + 1)
-            ev[k:k] = [cup(i), cap(i - 1)]
-    elif kind is MoveKind.R2_CANCEL:
-        _checked(word, move, _is_r2(ev[k], ev[k + 1]))
-        del ev[k : k + 2]
-    elif kind is MoveKind.R2_INSERT:
-        i, s = move.params
-        n = word.counts[k]
-        _checked(word, move, 1 <= i <= n - 1 and s in (+1, -1))
-        ev[k:k] = [cross(i, s), cross(i, -s)]
-    elif kind is MoveKind.R1_ABSORB:
-        _checked(
-            word,
-            move,
-            ev[k].kind is EventKind.CUP
-            and ev[k + 1].kind is EventKind.CROSS
-            and ev[k + 1].index == ev[k].index,
-        )
-        del ev[k + 1]
-    elif kind is MoveKind.R1_INSERT:
-        s, at = move.params
-        if at == "cup":
-            _checked(word, move, ev[k].kind is EventKind.CUP)
-            ev.insert(k + 1, cross(ev[k].index, s))
-        else:
-            _checked(word, move, at == "cap" and ev[k].kind is EventKind.CAP)
-            ev.insert(k, cross(ev[k].index, s))
-    elif kind is MoveKind.CAP_ABSORB_CROSS:
-        _checked(
-            word,
-            move,
-            ev[k].kind is EventKind.CROSS
-            and ev[k + 1].kind is EventKind.CAP
-            and ev[k + 1].index == ev[k].index,
-        )
-        del ev[k]
-    elif kind is MoveKind.YANG_BAXTER:
-        replaced = _yang_baxter(ev[k], ev[k + 1], ev[k + 2])
-        _checked(word, move, replaced is not None)
-        ev[k : k + 3] = replaced
-    else:  # pragma: no cover
-        raise InvalidMove(f"unknown kind {kind}")
-
-    result = MorseWord(ev)
-    assert result.component_count == word.component_count
+    rule = _RULES[move.kind]
+    end = k + rule.width
+    in_range = 0 <= k and end <= len(ev)
+    if not in_range or move.params not in rule.params(ev[k:end], word.counts[k]):
+        raise InvalidMove(f"{move} does not apply to {word}")
+    result = MorseWord(ev[:k] + rule.rewrite(ev[k:end], move.params) + ev[end:])
+    if result.component_count != word.component_count:
+        raise InvalidMove(f"{move} changed the component count of {word}")
     return result
 
 
 def inverse_move(word: MorseWord, move: Move) -> Move:
-    """The move that undoes ``move``, to be applied to apply_move's result."""
-    ev = word.events
+    """The move that undoes ``move``, to be applied to apply_move's result:
+    the first move at the same site, among the kinds of opposite length
+    delta, whose rewrite restores ``word``."""
+    out = apply_move(word, move)
+    ev = out.events
     k = move.site
-    kind = move.kind
-    if kind is MoveKind.COMMUTE_DISTANT:
-        e1, e2 = ev[k], ev[k + 1]
-        if e1.kind is EventKind.CUP and e2.kind is EventKind.CAP:
-            if e2.index == e1.index + 2:
-                return Move(kind, k, ("left",))
-            if e2.index == e1.index - 2:
-                return Move(kind, k, ("right",))
-        return Move(kind, k)
-    if kind is MoveKind.ZIGZAG_CANCEL:
-        side = "right" if ev[k + 1].index == ev[k].index + 1 else "left"
-        return Move(MoveKind.ZIGZAG_INSERT, k, (ev[k].index, side))
-    if kind is MoveKind.ZIGZAG_INSERT:
-        return Move(MoveKind.ZIGZAG_CANCEL, k)
-    if kind is MoveKind.R2_CANCEL:
-        return Move(MoveKind.R2_INSERT, k, (ev[k].index, ev[k].sign))
-    if kind is MoveKind.R2_INSERT:
-        return Move(MoveKind.R2_CANCEL, k)
-    if kind is MoveKind.R1_ABSORB:
-        return Move(MoveKind.R1_INSERT, k, (ev[k + 1].sign, "cup"))
-    if kind is MoveKind.R1_INSERT:
-        _, at = move.params
-        if at == "cup":
-            return Move(MoveKind.R1_ABSORB, k)
-        return Move(MoveKind.CAP_ABSORB_CROSS, k)
-    if kind is MoveKind.CAP_ABSORB_CROSS:
-        return Move(MoveKind.R1_INSERT, k, (ev[k].sign, "cap"))
-    return Move(MoveKind.YANG_BAXTER, k)
+    for kind, rule in _RULES.items():
+        end = k + rule.width
+        if rule.length_delta != -LENGTH_DELTA[move.kind] or end > len(ev):
+            continue
+        window = ev[k:end]
+        for params in rule.params(window, out.counts[k]):
+            if ev[:k] + rule.rewrite(window, params) + ev[end:] == word.events:
+                return Move(kind, k, params)
+    raise InvalidMove(f"no move undoes {move} on {word}")
 
 
 def canonical_key(word: MorseWord) -> tuple[MorseEvent, ...]:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .bracket import jones_normalized
 from .errors import BracketMismatch, BudgetExceeded
-from .events import MorseEvent, MorseWord, require_knot
+from .events import MorseWord, require_knot
 from .invariants import (
     EmbeddingReport,
     critical_count,
@@ -84,18 +85,59 @@ _BEAM_NODE_CAP = 1_000_000
 _EXHAUSTIVE_NODE_CAP = 200_000
 
 
-def _result(word: MorseWord, trace: tuple[Move, ...], visited: int, key: tuple):
+_Candidate = tuple[tuple, MorseWord, tuple[Move, ...]]  # (key, word, trace)
+
+
+def _result(best: _Candidate, visited: int) -> SearchResult:
+    key, word, trace = best
     report = embedding_report(word) if word.is_knot else None
     return SearchResult(word, report, trace, visited, key)
 
 
-def _expand(
-    word: MorseWord, trace: tuple[Move, ...], max_len: int
-) -> Iterable[tuple[MorseWord, tuple[Move, ...]]]:
-    for move in enumerate_moves(word):
-        if len(word.events) + LENGTH_DELTA[move.kind] > max_len:
-            continue
-        yield apply_move(word, move), trace + (move,)
+def _frontier_search(
+    start: MorseWord,
+    objective: Objective,
+    steps: int,
+    insertion_budget: int,
+    node_cap: int,
+    name: str,
+    rank: Optional[Callable[[_Candidate], tuple]] = None,
+    keep: Optional[int] = None,
+) -> SearchResult:
+    """The loop behind both searches.  Each step applies every move within
+    the length budget to every frontier word and drops positions already
+    seen (by canonical key).  The new ones, sorted by ``rank`` if given,
+    offer the best word and form the next frontier: the first ``keep``, or all."""
+    max_len = len(start.events) + insertion_budget
+    visited = {canonical_key(start)}
+    best: _Candidate = (objective.key(start), start, ())
+    frontier = [best]
+
+    for _ in range(steps):
+        candidates: list[_Candidate] = []
+        for _, word, trace in frontier:
+            for move in enumerate_moves(word):
+                if len(word.events) + LENGTH_DELTA[move.kind] > max_len:
+                    continue
+                new_word = apply_move(word, move)
+                ck = canonical_key(new_word)
+                if ck in visited:
+                    continue
+                visited.add(ck)
+                candidates.append((objective.key(new_word), new_word, trace + (move,)))
+                if len(visited) > node_cap:
+                    best = min([best, *candidates], key=itemgetter(0))
+                    raise BudgetExceeded(
+                        f"{name} search node cap exceeded",
+                        best=_result(best, len(visited)),
+                    )
+        if not candidates:
+            break
+        if rank is not None:
+            candidates.sort(key=rank)
+        best = min([best, *candidates], key=itemgetter(0))
+        frontier = candidates[:keep]
+    return _result(best, len(visited))
 
 
 def beam_search(
@@ -107,37 +149,16 @@ def beam_search(
     each step, deduplicating by canonical key; traces record the exact
     move sequence from ``start`` to the reported word."""
     rng = random.Random(config.random_seed)
-    max_len = len(start.events) + config.insertion_budget
-    visited = {canonical_key(start)}
-    best_word, best_trace = start, ()
-    best_key = objective.key(start)
-    frontier: list[tuple[MorseWord, tuple[Move, ...]]] = [(start, ())]
-
-    for _ in range(config.max_steps):
-        candidates: list[tuple[tuple, float, MorseWord, tuple[Move, ...]]] = []
-        for word, trace in frontier:
-            for new_word, new_trace in _expand(word, trace, max_len):
-                ck = canonical_key(new_word)
-                if ck in visited:
-                    continue
-                visited.add(ck)
-                candidates.append(
-                    (objective.key(new_word), rng.random(), new_word, new_trace)
-                )
-                if len(visited) > _BEAM_NODE_CAP:
-                    raise BudgetExceeded(
-                        "beam search node cap exceeded",
-                        best=_result(best_word, best_trace, len(visited), best_key),
-                    )
-        if not candidates:
-            break
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        frontier = [(w, t) for _, _, w, t in candidates[: config.beam_width]]
-        top_key = candidates[0][0]
-        if top_key < best_key:
-            best_key = top_key
-            best_word, best_trace = candidates[0][2], candidates[0][3]
-    return _result(best_word, best_trace, len(visited), best_key)
+    return _frontier_search(
+        start,
+        objective,
+        config.max_steps,
+        config.insertion_budget,
+        _BEAM_NODE_CAP,
+        "beam",
+        rank=lambda candidate: (candidate[0], rng.random()),
+        keep=config.beam_width,
+    )
 
 
 def exhaustive_min(
@@ -148,34 +169,9 @@ def exhaustive_min(
 ) -> SearchResult:
     """Breadth-first over every word within ``radius`` moves, up to the
     node cap.  With insertion_budget=0 the reachable set is finite."""
-    max_len = len(start.events) + insertion_budget
-    visited = {canonical_key(start)}
-    best_word, best_trace = start, ()
-    best_key = objective.key(start)
-    frontier: list[tuple[MorseWord, tuple[Move, ...]]] = [(start, ())]
-
-    for _ in range(radius):
-        next_frontier: list[tuple[MorseWord, tuple[Move, ...]]] = []
-        for word, trace in frontier:
-            for new_word, new_trace in _expand(word, trace, max_len):
-                ck = canonical_key(new_word)
-                if ck in visited:
-                    continue
-                visited.add(ck)
-                next_frontier.append((new_word, new_trace))
-                key = objective.key(new_word)
-                if key < best_key:
-                    best_key = key
-                    best_word, best_trace = new_word, new_trace
-                if len(visited) > _EXHAUSTIVE_NODE_CAP:
-                    raise BudgetExceeded(
-                        "exhaustive search node cap exceeded",
-                        best=_result(best_word, best_trace, len(visited), best_key),
-                    )
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return _result(best_word, best_trace, len(visited), best_key)
+    return _frontier_search(
+        start, objective, radius, insertion_budget, _EXHAUSTIVE_NODE_CAP, "exhaustive"
+    )
 
 
 @dataclass(frozen=True)
