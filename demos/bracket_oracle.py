@@ -2,7 +2,8 @@
 The bracket polynomial as a knot-type oracle
 ============================================
 
-An exact Laurent-polynomial state sum.  Two words presenting the same
+An exact Laurent polynomial, computed by one bottom-to-top sweep whose
+cost follows the word's trunk.  Two words presenting the same
 knot must agree on the writhe-normalized value, so search and rewrite
 results can be checked instead of trusted.
 """

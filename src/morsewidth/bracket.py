@@ -13,17 +13,22 @@ Conventions, fixed once and used everywhere:
 * jones_normalized = (-A^3)^(-writhe) * bracket, invariant under all
   moves including the kink-absorbing ones.
 
-The state sum enumerates all 2^c smoothings and is refused outright
-above MAX_STATE_SUM_CROSSINGS crossings.
+The bracket is one bottom-to-top sweep over the word (Kauffman's state
+model read as Temperley-Lieb algebra).  Its states are the crossingless
+matchings of one level's strands, so a level of n strands holds at most
+min(2^(crossings below), Catalan(n/2)) of them: the cost follows the
+trunk, and it never exceeds the 2^c state sum.  Words above
+MAX_STATE_SUM_CROSSINGS crossings are still refused outright; the cap is
+kept for API and CLI compatibility, not because of cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import BudgetExceeded
-from .events import EventKind, MorseWord, _UnionFind, require_knot
+from .events import EventKind, MorseWord, require_knot
 
 MAX_STATE_SUM_CROSSINGS = 18
 
@@ -165,65 +170,77 @@ def planar_diagram(word: MorseWord) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings), tuple(wires), counter)
 
 
-def _arc_structure(diagram: PlanarDiagram) -> tuple[list[tuple[int, ...]], int, int]:
-    """Contract wires: returns (per-crossing arc ids for bl,br,tl,tr ports,
-    number of arcs, number of crossing-free circles)."""
-    forest = _UnionFind(diagram.point_count)
-    for p, q in diagram.wires:
-        forest.union(p, q)
-    arc_of: dict[int, int] = {}
-    per_crossing = []
-    for x in diagram.crossings:
-        ids = []
-        for port in x.ports:
-            rep = forest.find(port)
-            ids.append(arc_of.setdefault(rep, len(arc_of)))
-        per_crossing.append(tuple(ids))
-    all_reps = {forest.find(t) for t in range(diagram.point_count)}
-    free_circles = len(all_reps) - len(arc_of)
-    return per_crossing, len(arc_of), free_circles
+def _join(key: str, i: int) -> tuple[str, bool]:
+    """A cap on strands i, i+1 of a matching, then a cup in its place: the
+    strands' partners pair up, and i pairs with i+1.  Returns the new
+    matching and whether the cap closed a loop."""
+    a, b = ord(key[i]), ord(key[i + 1])
+    if a == i + 1:
+        return key, True
+    s = list(key)
+    s[a], s[b], s[i], s[i + 1] = key[i + 1], key[i], chr(i + 1), chr(i)
+    return "".join(s), False
+
+
+def _times_delta(poly: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e, c in poly.items():
+        out[e + 2] = out.get(e + 2, 0) - c
+        out[e - 2] = out.get(e - 2, 0) - c
+    return out
+
+
+def _accumulate(
+    states: dict[str, dict[int, int]], key: str, poly: dict[int, int], shift: int
+) -> None:
+    """states[key] += A^shift * poly."""
+    target = states.setdefault(key, {})
+    for e, c in poly.items():
+        target[e + shift] = target.get(e + shift, 0) + c
 
 
 def kauffman_bracket(word: MorseWord) -> LaurentPoly:
-    """State-sum bracket of the closed diagram, exact in A."""
+    """Bracket of the closed diagram, exact in A, by one bottom-to-top sweep.
+
+    Below each level the smoothed diagram is a crossingless matching of
+    the level's strands plus closed loops.  The sweep maps each matching
+    (a str whose k-th character is chr(partner of strand k)) to the sum
+    of A^(#A - #B smoothings) * delta^(closed loops) over the smoothings
+    that give it.
+    """
     c = word.crossing_count
     if c > MAX_STATE_SUM_CROSSINGS:
         raise BudgetExceeded(
             f"{c} crossings exceeds the state-sum cap of "
             f"{MAX_STATE_SUM_CROSSINGS}"
         )
-    diagram = planar_diagram(word)
-    per_crossing, arc_count, free_circles = _arc_structure(diagram)
-    signs = [x.sign for x in diagram.crossings]
-
-    delta_pows = [LaurentPoly.one()]
-
-    def delta_pow(k: int) -> LaurentPoly:
-        while len(delta_pows) <= k:
-            delta_pows.append(delta_pows[-1] * DELTA)
-        return delta_pows[k]
-
-    acc: dict[int, int] = {}
-    for mask in range(1 << c):
-        forest = _UnionFind(arc_count)
-        b = 0
-        for t in range(c):
-            bl, br, tl, tr = per_crossing[t]
-            bit = (mask >> t) & 1
-            b += bit
-            horizontal = bit == (1 if signs[t] > 0 else 0)
-            if horizontal:
-                forest.union(bl, br)
-                forest.union(tl, tr)
-            else:
-                forest.union(bl, tl)
-                forest.union(br, tr)
-        loops = len({forest.find(a) for a in range(arc_count)}) + free_circles
-        exponent = c - 2 * b
-        for e, co in delta_pow(loops - 1).coefficients().items():
-            key = e + exponent
-            acc[key] = acc.get(key, 0) + co
-    return LaurentPoly(acc)
+    states: dict[str, dict[int, int]] = {"": {0: 1}}
+    last = len(word.events) - 1
+    for pos, e in enumerate(word.events):
+        i, n = e.index - 1, word.counts[pos]
+        nxt: dict[str, dict[int, int]] = {}
+        if e.kind is EventKind.CUP:
+            up = {k: k + 2 for k in range(i, n)}
+            for key, poly in states.items():  # one-to-one: nothing is copied
+                key = key.translate(up)
+                nxt[key[:i] + chr(i + 1) + chr(i) + key[i:]] = poly
+        elif e.kind is EventKind.CAP:
+            down = {k: k - 2 for k in range(i + 2, n)}
+            while states:  # popping frees each old state once it is used
+                key, poly = states.popitem()
+                key, loop = _join(key, i)
+                if loop and pos != last:  # the last loop counts 1, not delta
+                    poly = _times_delta(poly)
+                _accumulate(nxt, (key[:i] + key[i + 2 :]).translate(down), poly, 0)
+        else:
+            while states:
+                key, poly = states.popitem()
+                # A-smoothing (weight A) of a positive letter is vertical.
+                _accumulate(nxt, key, poly, e.sign)
+                key, loop = _join(key, i)
+                _accumulate(nxt, key, _times_delta(poly) if loop else poly, -e.sign)
+        states = nxt
+    return LaurentPoly(states[""])
 
 
 _MAIN_DIR = {True: (1, 1), False: (-1, -1)}  # bl->tr or tr->bl
@@ -283,8 +300,11 @@ def writhe(word: MorseWord) -> int:
     return total
 
 
+def _normalized(w: int, bracket: LaurentPoly) -> LaurentPoly:
+    """(-A^3)^(-w) * bracket."""
+    return LaurentPoly.term(1 if w % 2 == 0 else -1, -3 * w) * bracket
+
+
 def jones_normalized(word: MorseWord) -> LaurentPoly:
     """(-A^3)^(-writhe) * bracket; unchanged by every rewrite move."""
-    w = writhe(word)
-    norm = LaurentPoly.term(1 if w % 2 == 0 else -1, -3 * w)
-    return norm * kauffman_bracket(word)
+    return _normalized(writhe(word), kauffman_bracket(word))

@@ -20,7 +20,7 @@ import sys
 from typing import Union
 
 from .catalog import catalog, entries, realize_profile
-from .bracket import jones_normalized, kauffman_bracket, writhe
+from .bracket import _normalized, kauffman_bracket, writhe
 from .errors import (
     BracketMismatch,
     BudgetExceeded,
@@ -33,7 +33,6 @@ from .events import MorseWord, TangleWord
 from .invariants import (
     connected_sum,
     embedding_report,
-    level_profile,
     otp_compare,
     tangle_trunk,
 )
@@ -75,12 +74,10 @@ def _emit(obj) -> None:
 
 
 def _word_json(word: MorseWord) -> dict:
-    report = embedding_report(word).as_dict()
-    report["gaps"] = [
-        {"width": g.width, "class": g.classification}
-        for g in level_profile(word).gaps
-    ]
-    return report
+    report = embedding_report(word)
+    out = report.as_dict()
+    out["gaps"] = [{"width": g.width, "class": g.classification} for g in report.gaps]
+    return out
 
 
 def _cmd_analyze(args) -> int:
@@ -138,12 +135,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bracket(args) -> int:
     word = _load_closed(args.source)
+    w = writhe(word)
+    bracket = kauffman_bracket(word)
     _emit(
         {
             "crossings": word.crossing_count,
-            "writhe": writhe(word),
-            "bracket": str(kauffman_bracket(word)),
-            "jones_normalized": str(jones_normalized(word)),
+            "writhe": w,
+            "bracket": str(bracket),
+            "jones_normalized": str(_normalized(w, bracket)),
         }
     )
     return 0

@@ -77,8 +77,8 @@ def cross(index: int, sign: int) -> MorseEvent:
 class _UnionFind:
     __slots__ = ("parent",)
 
-    def __init__(self, size: int = 0):
-        self.parent: list[int] = list(range(size))
+    def __init__(self):
+        self.parent: list[int] = []
 
     def make(self) -> int:
         self.parent.append(len(self.parent))

@@ -26,7 +26,7 @@ and position comparisons are per word set (see position search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError, Violation
@@ -70,6 +70,27 @@ class LevelProfile:
     def widths(self) -> tuple[int, ...]:
         return tuple(g.width for g in self.gaps)
 
+    @property
+    def width(self) -> int:
+        return sum(self.widths)
+
+    @property
+    def trunk(self) -> int:
+        return max(self.widths)
+
+    @property
+    def height(self) -> int:
+        return len(self.thick_widths)
+
+    @property
+    def otp_vector(self) -> tuple[int, ...]:
+        return tuple(sorted(self.thick_widths, reverse=True))
+
+    @property
+    def average_trunk(self) -> Fraction:
+        thick = self.thick_widths
+        return Fraction(sum(thick), len(thick))
+
 
 def level_profile(word: MorseWord) -> LevelProfile:
     """Gap profile of a closed word (crossings merge into their gap)."""
@@ -86,15 +107,15 @@ def level_profile(word: MorseWord) -> LevelProfile:
 
 
 def width(word: MorseWord) -> int:
-    return sum(level_profile(word).widths)
+    return level_profile(word).width
 
 
 def trunk(word: MorseWord) -> int:
-    return max(level_profile(word).widths)
+    return level_profile(word).trunk
 
 
 def height(word: MorseWord) -> int:
-    return len(level_profile(word).thick_widths)
+    return level_profile(word).height
 
 
 def bridge_count(word: MorseWord) -> int:
@@ -106,7 +127,7 @@ def critical_count(word: MorseWord) -> int:
 
 
 def otp_vector(word: MorseWord) -> tuple[int, ...]:
-    return tuple(sorted(level_profile(word).thick_widths, reverse=True))
+    return level_profile(word).otp_vector
 
 
 def otp_compare(a, b) -> int:
@@ -126,30 +147,32 @@ def otp_compare(a, b) -> int:
 
 def proportion(word: MorseWord) -> Fraction:
     """trunk / (height * 2 * bridge), exactly; equals 1 on bridge positions."""
-    return Fraction(trunk(word), height(word) * 2 * bridge_count(word))
+    return _proportion(level_profile(word), bridge_count(word))
+
+
+def _proportion(profile: LevelProfile, bridge: int) -> Fraction:
+    return Fraction(profile.trunk, profile.height * 2 * bridge)
 
 
 def average_trunk(word: MorseWord) -> Fraction:
-    thick = level_profile(word).thick_widths
-    return Fraction(sum(thick), len(thick))
+    return level_profile(word).average_trunk
 
 
 def rep_upper_bound(word: MorseWord) -> int:
     """Upper bound for the representativity of the knot the word presents:
     min(bridge number, floor(trunk/2))."""
-    require_knot(word)
-    return min(bridge_count(word), trunk(word) // 2)
+    return embedding_report(word).rep_upper
 
 
 def waist_upper_bound(word: MorseWord) -> int:
     """Upper bound for the waist of the knot: floor(trunk/3)."""
-    require_knot(word)
-    return trunk(word) // 3
+    return embedding_report(word).waist_upper
 
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """All level invariants of one knot embedding."""
+    """All level invariants of one knot embedding, derived from one gap
+    profile.  ``gaps`` is that profile; it is not part of ``as_dict``."""
 
     width: int
     trunk: int
@@ -161,6 +184,7 @@ class EmbeddingReport:
     average_trunk: Fraction
     rep_upper: int
     waist_upper: int
+    gaps: tuple[Gap, ...] = field(compare=False, repr=False)
 
     def as_dict(self) -> dict:
         """JSON-ready dict; rationals become {num, den} in lowest terms."""
@@ -186,17 +210,20 @@ class EmbeddingReport:
 
 def embedding_report(word: MorseWord) -> EmbeddingReport:
     require_knot(word)
+    profile = level_profile(word)
+    top, bridge = profile.trunk, bridge_count(word)
     return EmbeddingReport(
-        width=width(word),
-        trunk=trunk(word),
-        height=height(word),
-        bridge=bridge_count(word),
+        width=profile.width,
+        trunk=top,
+        height=profile.height,
+        bridge=bridge,
         critical_count=critical_count(word),
-        otp_vector=otp_vector(word),
-        proportion=proportion(word),
-        average_trunk=average_trunk(word),
-        rep_upper=rep_upper_bound(word),
-        waist_upper=waist_upper_bound(word),
+        otp_vector=profile.otp_vector,
+        proportion=_proportion(profile, bridge),
+        average_trunk=profile.average_trunk,
+        rep_upper=min(bridge, top // 2),
+        waist_upper=top // 3,
+        gaps=profile.gaps,
     )
 
 

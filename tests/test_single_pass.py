@@ -1,0 +1,56 @@
+"""A report builds its gap profile once; the bracket command computes the
+bracket once."""
+
+import json
+
+import pytest
+
+import morsewidth.bracket as bracket_mod
+import morsewidth.cli as cli_mod
+import morsewidth.invariants as invariants_mod
+from morsewidth.catalog import catalog
+
+
+def _counting(monkeypatch, modules, name):
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
+
+
+@pytest.fixture
+def profiles(monkeypatch):
+    return _counting(monkeypatch, [invariants_mod, cli_mod], "level_profile")
+
+
+@pytest.fixture
+def brackets(monkeypatch):
+    return _counting(monkeypatch, [bracket_mod, cli_mod], "kauffman_bracket")
+
+
+@pytest.mark.parametrize("name", ["unknot", "trefoil_plat", "cex4_gamma", "bt134"])
+def test_embedding_report_builds_one_profile(profiles, name):
+    word = catalog(name)
+    report = invariants_mod.embedding_report(word)
+    assert len(profiles) == 1
+    assert report.gaps == invariants_mod.level_profile(word).gaps
+
+
+def test_analyze_builds_one_profile(profiles, capsys):
+    assert cli_mod.main(["analyze", "catalog:cex4_gamma"]) == 0
+    assert len(profiles) == 1
+    assert json.loads(capsys.readouterr().out)["gaps"]
+
+
+def test_bracket_command_computes_one_bracket(brackets, capsys):
+    assert cli_mod.main(["bracket", "catalog:trefoil_plat"]) == 0
+    assert len(brackets) == 1
+    data = json.loads(capsys.readouterr().out)
+    word = catalog("trefoil_plat")
+    assert data["jones_normalized"] == str(bracket_mod.jones_normalized(word))
