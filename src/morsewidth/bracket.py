@@ -24,7 +24,6 @@ kept for API and CLI compatibility, not because of cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceeded
@@ -120,56 +119,6 @@ class LaurentPoly:
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-@dataclass(frozen=True)
-class DiagramCrossing:
-    sign: int
-    ports: tuple[int, int, int, int]  # bottom-left, bottom-right, top-left, top-right
-
-
-@dataclass(frozen=True)
-class PlanarDiagram:
-    """Closed diagram as connection points joined by wires.
-
-    Every point carries exactly two connections: one wire (a cup birth
-    arc, a cap join, or a feed into a crossing) and, for crossing ports,
-    one strand through the crossing.  Wire-only components are
-    crossing-free circles.
-    """
-
-    crossings: tuple[DiagramCrossing, ...]
-    wires: tuple[tuple[int, int], ...]
-    point_count: int
-
-
-def planar_diagram(word: MorseWord) -> PlanarDiagram:
-    slots: list[int] = []
-    wires: list[tuple[int, int]] = []
-    crossings: list[DiagramCrossing] = []
-    counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    for e in word.events:
-        i = e.index
-        if e.kind is EventKind.CUP:
-            p, q = fresh(), fresh()
-            wires.append((p, q))
-            slots[i - 1 : i - 1] = [p, q]
-        elif e.kind is EventKind.CAP:
-            wires.append((slots[i - 1], slots[i]))
-            del slots[i - 1 : i + 1]
-        else:
-            bl, br, tl, tr = fresh(), fresh(), fresh(), fresh()
-            wires.append((slots[i - 1], bl))
-            wires.append((slots[i], br))
-            slots[i - 1], slots[i] = tl, tr
-            crossings.append(DiagramCrossing(e.sign, (bl, br, tl, tr)))
-    return PlanarDiagram(tuple(crossings), tuple(wires), counter)
-
-
 def _join(key: str, i: int) -> tuple[str, bool]:
     """A cap on strands i, i+1 of a matching, then a cup in its place: the
     strands' partners pair up, and i pairs with i+1.  Returns the new
@@ -243,61 +192,39 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
     return LaurentPoly(states[""])
 
 
-_MAIN_DIR = {True: (1, 1), False: (-1, -1)}  # bl->tr or tr->bl
-_OTHER_DIR = {True: (-1, 1), False: (1, -1)}  # br->tl or tl->br
-
-
 def writhe(word: MorseWord) -> int:
-    """Sum of crossing signs once the diagram is oriented by walking it.
+    """Sum over crossings of sign * (+1 if both strands run the same way
+    up the page, else -1), with the knot oriented by walking it.
 
-    Knots only: on a multi-component diagram the sum would depend on the
+    Every strand piece runs monotonically from its cup to its cap, so one
+    sweep names the pieces and one walk orients them: the two pieces a
+    cup starts run opposite ways, and so do the two a cap joins.  Knots
+    only: on a multi-component diagram the sum would depend on the
     orientation chosen for each component.
     """
     require_knot(word)
-    diagram = planar_diagram(word)
-    edges: list[tuple[int, int, int, int]] = []  # (p, q, crossing idx, strand)
-    incident: list[list[int]] = [[] for _ in range(diagram.point_count)]
-
-    def add_edge(p: int, q: int, ci: int = -1, strand: int = 0) -> None:
-        eid = len(edges)
-        edges.append((p, q, ci, strand))
-        incident[p].append(eid)
-        incident[q].append(eid)
-
-    for p, q in diagram.wires:
-        add_edge(p, q)
-    for ci, x in enumerate(diagram.crossings):
-        bl, br, tl, tr = x.ports
-        add_edge(bl, tr, ci, 0)
-        add_edge(br, tl, ci, 1)
-
-    dirs: dict[tuple[int, int], tuple[int, int]] = {}
-    seen = [False] * len(edges)
-    for start in range(len(edges)):
-        if seen[start]:
-            continue
-        eid = start
-        point = edges[eid][0]
-        while not seen[eid]:
-            seen[eid] = True
-            p, q, ci, strand = edges[eid]
-            entry, exit_ = (p, q) if point == p else (q, p)
-            if ci >= 0:
-                x = diagram.crossings[ci]
-                if strand == 0:
-                    dirs[(ci, 0)] = _MAIN_DIR[entry == x.ports[0]]
-                else:
-                    dirs[(ci, 1)] = _OTHER_DIR[entry == x.ports[1]]
-            point = exit_
-            a, b = incident[point]
-            eid = b if a == eid else a
-    total = 0
-    for ci, x in enumerate(diagram.crossings):
-        main, other = dirs[(ci, 0)], dirs[(ci, 1)]
-        over, under = (main, other) if x.sign > 0 else (other, main)
-        z = over[0] * under[1] - over[1] * under[0]
-        total += 1 if z > 0 else -1
-    return total
+    slots: list[int] = []  # piece id per strand of the current level
+    capped: dict[int, int] = {}  # piece -> the piece a cap joins it to
+    crossings: list[tuple[int, int, int]] = []  # (sign, left piece, right piece)
+    pieces = 0
+    for e in word.events:
+        i = e.index - 1
+        if e.kind is EventKind.CUP:
+            slots[i:i] = [pieces, pieces + 1]  # cup partners differ in the last bit
+            pieces += 2
+        elif e.kind is EventKind.CAP:
+            a, b = slots[i], slots[i + 1]
+            capped[a], capped[b] = b, a
+            del slots[i : i + 2]
+        else:
+            crossings.append((e.sign, slots[i], slots[i + 1]))
+            slots[i], slots[i + 1] = slots[i + 1], slots[i]
+    up = [False] * pieces
+    piece = 0
+    for _ in range(pieces // 2):  # one upward piece per cup
+        up[piece] = True
+        piece = capped[piece ^ 1]
+    return sum(s if up[a] == up[b] else -s for s, a, b in crossings)
 
 
 def _normalized(w: int, bracket: LaurentPoly) -> LaurentPoly:

@@ -14,6 +14,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,12 +39,6 @@ from .invariants import (
 )
 from .search import Objective, ObjectiveKind, SearchConfig, beam_search
 from .textio import parse, render_profile, serialize
-
-_OBJECTIVES = {
-    "width": ObjectiveKind.GABAI_WIDTH,
-    "critical": ObjectiveKind.CRITICAL_COUNT,
-    "otp": ObjectiveKind.OTP_LEX,
-}
 
 
 def _load_closed(source: str) -> MorseWord:
@@ -97,7 +92,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_optimize(args) -> int:
     word = _load_closed(args.source)
-    objective = Objective(_OBJECTIVES[args.objective])
+    objective = Objective(ObjectiveKind(args.objective))
     config = SearchConfig(
         beam_width=args.beam,
         max_steps=args.steps,
@@ -163,6 +158,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morsewidth",
@@ -176,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="beam-search for a better position")
     p.add_argument("source")
-    p.add_argument("--objective", choices=sorted(_OBJECTIVES), default="width")
+    objectives = sorted(k.value for k in ObjectiveKind)
+    p.add_argument("--objective", choices=objectives, default="width")
     p.add_argument("--beam", type=int, default=SearchConfig.beam_width)
     p.add_argument("--steps", type=int, default=SearchConfig.max_steps)
     p.add_argument("--seed", type=int, default=SearchConfig.random_seed)
@@ -209,8 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -22,7 +22,7 @@ from .invariants import (
     EmbeddingReport,
     critical_count,
     embedding_report,
-    otp_vector,
+    level_profile,
     trunk,
     width,
 )
@@ -38,7 +38,8 @@ class ObjectiveKind(Enum):
 
 def _otp_key(word: MorseWord) -> tuple:
     # Thick-width vectors compare lexicographically; total width breaks ties.
-    return (otp_vector(word), width(word))
+    profile = level_profile(word)
+    return (profile.otp_vector, profile.width)
 
 
 _KEYS: dict[ObjectiveKind, Callable[[MorseWord], tuple]] = {

@@ -10,7 +10,6 @@ from morsewidth.bracket import (
     LaurentPoly,
     jones_normalized,
     kauffman_bracket,
-    planar_diagram,
     writhe,
 )
 from morsewidth.errors import BudgetExceeded, ValidationError
@@ -107,26 +106,6 @@ class TestAgainstReference:
             w = random_knot_word(rng, max_events=18, max_crossings=7)
             assert writhe(w) == oracle_writhe(w)
             assert jones_normalized(w).coefficients() == oracle_jones(w)
-
-
-class TestDiagram:
-    def test_every_point_used_twice(self, rng):
-        for _ in range(60):
-            w = random_closed_word(rng)
-            d = planar_diagram(w)
-            degree = [0] * d.point_count
-            for p, q in d.wires:
-                degree[p] += 1
-                degree[q] += 1
-            for x in d.crossings:
-                for port in x.ports:
-                    degree[port] += 1
-            assert all(deg == 2 for deg in degree)
-
-    def test_crossings_in_word_order(self):
-        d = planar_diagram(TREFOIL)
-        assert len(d.crossings) == 3
-        assert all(x.sign == -1 for x in d.crossings)
 
 
 class TestBudget:
