@@ -13,8 +13,8 @@ horizontal level:
 Indices are 1-based.  A knot/link word starts and ends with zero strands;
 a tangle word starts at the (even) number of boundary strands and ends at
 zero, and may not close any component.  Validity is local arithmetic on
-counts and indices; component structure is traced with a union-find over
-strand ends.
+counts and indices; component structure is traced by linking each open
+strand end to the far end of its arc.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ class EventKind(Enum):
     CUP = "cup"
     CAP = "cap"
     CROSS = "cross"
+
+    # Members are singletons and compare by identity, so they may hash by
+    # identity too; Enum's own __hash__ is a Python-level call.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, order=True)
@@ -74,32 +78,6 @@ def cross(index: int, sign: int) -> MorseEvent:
     return MorseEvent(EventKind.CROSS, index, sign)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent: list[int] = []
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; False if they already agree."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 @dataclass(frozen=True)
 class _Trace:
     counts: tuple[int, ...]
@@ -112,30 +90,32 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
     """Single validation pass: counts, index checks, component tracing.
 
     Invalid events are skipped (best effort) so that several violations can
-    be reported at once.  Strand slots hold union-find nodes; a cup's two
-    ends share a class, and a cap that joins ends of one class closes a
-    component.
+    be reported at once.  Strand slots hold end ids; ``other[e]`` is the far
+    end of e's arc, or -1 when that arc runs down to the tangle boundary.  A
+    cap joining the two ends of one arc closes a component; any other cap
+    links the far ends of the two arcs it joins.
     """
-    uf = _UnionFind()
-    slots: list[int] = [uf.make() for _ in range(start_count)]
+    other = [-1] * start_count
+    slots = list(range(start_count))
     counts = [start_count]
     violations: list[Violation] = []
     closed = 0
+    CUP, CAP = EventKind.CUP, EventKind.CAP
 
     for pos, ev in enumerate(events):
         n = len(slots)
         i = ev.index
-        if ev.kind is EventKind.CUP:
+        kind = ev.kind
+        if kind is CUP:
             if not 1 <= i <= n + 1:
                 violations.append(
                     Violation("BadIndex", pos, f"cup index {i} outside 1..{n + 1}")
                 )
             else:
-                node = uf.make()
-                other = uf.make()
-                uf.union(node, other)
-                slots[i - 1 : i - 1] = [node, other]
-        elif ev.kind is EventKind.CAP:
+                a = len(other)
+                other += (a + 1, a)
+                slots[i - 1 : i - 1] = (a, a + 1)
+        elif kind is CAP:
             if n < 2:
                 violations.append(
                     Violation("NegativeCount", pos, f"cap with only {n} strands")
@@ -145,9 +125,9 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
                     Violation("BadIndex", pos, f"cap index {i} outside 1..{n - 1}")
                 )
             else:
-                a = slots[i - 1]
-                b = slots[i]
-                if not uf.union(a, b):
+                a, b = slots[i - 1], slots[i]
+                far_a, far_b = other[a], other[b]
+                if far_a == b:
                     closed += 1
                     if tangle:
                         violations.append(
@@ -157,6 +137,11 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
                                 "cap closes a component inside a tangle",
                             )
                         )
+                else:
+                    if far_a >= 0:
+                        other[far_a] = far_b
+                    if far_b >= 0:
+                        other[far_b] = far_a
                 del slots[i - 1 : i + 1]
         else:  # CROSS
             if not 1 <= i <= n - 1:

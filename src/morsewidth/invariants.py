@@ -56,19 +56,29 @@ class Gap:
 
 @dataclass(frozen=True)
 class LevelProfile:
-    gaps: tuple[Gap, ...]
+    """Gap widths, bottom to top, and the kinds of the critical events
+    around them (``kinds[t]`` below gap t, ``kinds[t + 1]`` above it)."""
+
+    widths: tuple[int, ...]
+    kinds: tuple[EventKind, ...]
+
+    @property
+    def gaps(self) -> tuple[Gap, ...]:
+        """The profile as ``Gap`` objects, for reports."""
+        k = self.kinds
+        return tuple(Gap(w, k[t], k[t + 1]) for t, w in enumerate(self.widths))
+
+    def _widths_between(self, below: EventKind, above: EventKind) -> tuple[int, ...]:
+        k = self.kinds
+        return tuple(w for w, b, a in zip(self.widths, k, k[1:]) if b is below and a is above)
 
     @property
     def thick_widths(self) -> tuple[int, ...]:
-        return tuple(g.width for g in self.gaps if g.classification == THICK)
+        return self._widths_between(EventKind.CUP, EventKind.CAP)
 
     @property
     def thin_widths(self) -> tuple[int, ...]:
-        return tuple(g.width for g in self.gaps if g.classification == THIN)
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(g.width for g in self.gaps)
+        return self._widths_between(EventKind.CAP, EventKind.CUP)
 
     @property
     def width(self) -> int:
@@ -94,16 +104,13 @@ class LevelProfile:
 
 def level_profile(word: MorseWord) -> LevelProfile:
     """Gap profile of a closed word (crossings merge into their gap)."""
-    criticals = [
-        (ev, word.counts[pos + 1])
-        for pos, ev in enumerate(word.events)
-        if ev.is_critical
-    ]
-    gaps = [
-        Gap(width=count_after, below=ev.kind, above=criticals[t + 1][0].kind)
-        for t, (ev, count_after) in enumerate(criticals[:-1])
-    ]
-    return LevelProfile(tuple(gaps))
+    cross = EventKind.CROSS
+    critical = [pos for pos, ev in enumerate(word.events) if ev.kind is not cross]
+    counts, events = word.counts, word.events
+    return LevelProfile(
+        tuple([counts[pos + 1] for pos in critical[:-1]]),
+        tuple([events[pos].kind for pos in critical]),
+    )
 
 
 def width(word: MorseWord) -> int:

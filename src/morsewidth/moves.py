@@ -53,6 +53,8 @@ class MoveKind(Enum):
     YANG_BAXTER = "YangBaxter"
     CAP_ABSORB_CROSS = "CapAbsorbCross"
 
+    __hash__ = object.__hash__  # singletons: identity hash, as for EventKind
+
 
 _KIND_ORDER = {k: n for n, k in enumerate(MoveKind)}
 
@@ -118,9 +120,10 @@ def _zigzag_params(window: _Window, strands_below: int) -> list[tuple]:
 
 
 def _zigzag_insert_params(window: _Window, strands_below: int) -> list[tuple]:
-    left = [(i, "left") for i in range(2, strands_below + 2)]  # cap above at i-1
-    right = [(i, "right") for i in range(1, strands_below + 1)]  # cap above at i+1
-    return sorted(left + right)
+    # In sorted order: "left" (cap above at i-1) before "right" (cap above at
+    # i+1) at each i; there is no left at i = 1 and no right at i = n + 1.
+    sides = [(i, side) for i in range(1, strands_below + 2) for side in ("left", "right")]
+    return sides[1:-1]
 
 
 def _zigzag_insert(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
@@ -211,19 +214,24 @@ LENGTH_DELTA = {kind: rule.length_delta for kind, rule in _RULES.items()}
 WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe_changing)
 
 
-def enumerate_moves(word: MorseWord) -> list[Move]:
+def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]:
     """All valid moves, in deterministic order (site, then kind, then
-    parameters).  Growth moves are included; callers bound them with a
-    length budget."""
+    parameters).  ``max_delta`` leaves out the kinds whose length delta
+    exceeds it, as a length budget would; None keeps every kind."""
     ev = word.events
     counts = word.counts
+    rules = [
+        (kind, rule.width, rule.params)
+        for kind, rule in _RULES.items()
+        if max_delta is None or rule.length_delta <= max_delta
+    ]
     moves: list[Move] = []
     for k in range(len(ev) + 1):
-        for kind, rule in _RULES.items():
-            end = k + rule.width
+        for kind, width, params in rules:
+            end = k + width
             if end <= len(ev):
-                for params in rule.params(ev[k:end], counts[k]):
-                    moves.append(Move(kind, k, params))
+                for p in params(ev[k:end], counts[k]):
+                    moves.append(Move(kind, k, p))
     return moves
 
 
@@ -269,17 +277,16 @@ def canonical_key(word: MorseWord) -> tuple[MorseEvent, ...]:
     Crossings are never pulled past cups or caps: that rewriting is
     order-sensitive and would make the key depend on bubbling history."""
     ev = list(word.events)
+    cross = EventKind.CROSS
     changed = True
     while changed:
         changed = False
-        for k in range(len(ev) - 1):
-            a, b = ev[k], ev[k + 1]
-            if (
-                a.kind is EventKind.CROSS
-                and b.kind is EventKind.CROSS
-                and abs(a.index - b.index) >= 2
-                and b.index < a.index
-            ):
-                ev[k], ev[k + 1] = b, a
+        a = ev[0]  # the event at k - 1
+        for k in range(1, len(ev)):
+            b = ev[k]
+            if a.kind is cross and b.kind is cross and b.index < a.index - 1:
+                ev[k - 1], ev[k] = b, a
                 changed = True
+            else:
+                a = b
     return tuple(ev)

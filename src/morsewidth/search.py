@@ -20,13 +20,12 @@ from .errors import BracketMismatch, BudgetExceeded
 from .events import MorseWord, require_knot
 from .invariants import (
     EmbeddingReport,
+    LevelProfile,
     critical_count,
     embedding_report,
     level_profile,
-    trunk,
-    width,
 )
-from .moves import LENGTH_DELTA, Move, apply_move, canonical_key, enumerate_moves
+from .moves import Move, apply_move, canonical_key, enumerate_moves
 
 
 class ObjectiveKind(Enum):
@@ -36,17 +35,12 @@ class ObjectiveKind(Enum):
     TRUNK_ONLY = "trunk"
 
 
-def _otp_key(word: MorseWord) -> tuple:
+# Every key but the critical count is read off the word's gap profile.
+_PROFILE_KEYS: dict[ObjectiveKind, Callable[[LevelProfile], tuple]] = {
+    ObjectiveKind.GABAI_WIDTH: lambda p: (p.width,),
     # Thick-width vectors compare lexicographically; total width breaks ties.
-    profile = level_profile(word)
-    return (profile.otp_vector, profile.width)
-
-
-_KEYS: dict[ObjectiveKind, Callable[[MorseWord], tuple]] = {
-    ObjectiveKind.GABAI_WIDTH: lambda w: (width(w),),
-    ObjectiveKind.CRITICAL_COUNT: lambda w: (critical_count(w),),
-    ObjectiveKind.OTP_LEX: _otp_key,
-    ObjectiveKind.TRUNK_ONLY: lambda w: (trunk(w),),
+    ObjectiveKind.OTP_LEX: lambda p: (p.otp_vector, p.width),
+    ObjectiveKind.TRUNK_ONLY: lambda p: (p.trunk,),
 }
 
 
@@ -59,9 +53,16 @@ class Objective:
     tiebreak: Optional[ObjectiveKind] = None
 
     def key(self, word: MorseWord) -> tuple:
-        k = _KEYS[self.kind](word)
-        if self.tiebreak is not None:
-            k = k + _KEYS[self.tiebreak](word)
+        """The word's key; builds at most one gap profile."""
+        k: tuple = ()
+        profile = None
+        for kind in (self.kind, self.tiebreak):
+            if kind is ObjectiveKind.CRITICAL_COUNT:
+                k += (critical_count(word),)
+            elif kind is not None:
+                if profile is None:
+                    profile = level_profile(word)
+                k += _PROFILE_KEYS[kind](profile)
         return k
 
 
@@ -86,13 +87,19 @@ _BEAM_NODE_CAP = 1_000_000
 _EXHAUSTIVE_NODE_CAP = 200_000
 
 
-_Candidate = tuple[tuple, MorseWord, tuple[Move, ...]]  # (key, word, trace)
+# A trail is None at the start word, else (the parent's trail, the move
+# from the parent): the trace as a parent-pointer chain, unwound once.
+_Candidate = tuple[tuple, MorseWord, Optional[tuple]]  # (key, word, trail)
 
 
 def _result(best: _Candidate, visited: int) -> SearchResult:
-    key, word, trace = best
+    key, word, trail = best
+    moves = []
+    while trail is not None:
+        trail, move = trail
+        moves.append(move)
     report = embedding_report(word) if word.is_knot else None
-    return SearchResult(word, report, trace, visited, key)
+    return SearchResult(word, report, tuple(reversed(moves)), visited, key)
 
 
 def _frontier_search(
@@ -111,21 +118,19 @@ def _frontier_search(
     offer the best word and form the next frontier: the first ``keep``, or all."""
     max_len = len(start.events) + insertion_budget
     visited = {canonical_key(start)}
-    best: _Candidate = (objective.key(start), start, ())
+    best: _Candidate = (objective.key(start), start, None)
     frontier = [best]
 
     for _ in range(steps):
         candidates: list[_Candidate] = []
-        for _, word, trace in frontier:
-            for move in enumerate_moves(word):
-                if len(word.events) + LENGTH_DELTA[move.kind] > max_len:
-                    continue
+        for _, word, trail in frontier:
+            for move in enumerate_moves(word, max_len - len(word.events)):
                 new_word = apply_move(word, move)
-                ck = canonical_key(new_word)
-                if ck in visited:
+                seen = len(visited)
+                visited.add(canonical_key(new_word))  # one hash per key
+                if len(visited) == seen:
                     continue
-                visited.add(ck)
-                candidates.append((objective.key(new_word), new_word, trace + (move,)))
+                candidates.append((objective.key(new_word), new_word, (trail, move)))
                 if len(visited) > node_cap:
                     best = min([best, *candidates], key=itemgetter(0))
                     raise BudgetExceeded(

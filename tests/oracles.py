@@ -85,6 +85,77 @@ def oracle_width(events) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Components by a graph walk over strand pieces.
+
+
+def oracle_components(events, start: int = 0):
+    """(counts, closed components, [(violation code, position)]) of an event
+    list read from ``start`` strands; a start above zero is a tangle.
+
+    The sweep only records pieces: a boundary strand or a cup end is a
+    piece, a cup's arc and a cap each join two pieces, and a crossing
+    swaps two slots.  Invalid events are skipped.  Afterwards a walk finds
+    the connected pieces; a component with no boundary piece and no piece
+    left open at the top is closed, and it closes at its highest cap.
+    """
+    slots = [("boundary", j) for j in range(start)]
+    pieces = list(slots)
+    joins: dict = {piece: [] for piece in pieces}  # piece -> [(piece, cap pos)]
+    counts = [start]
+    bad: list[tuple[str, int]] = []
+    for pos, e in enumerate(events):
+        n, i = len(slots), e.index
+        if e.kind is EventKind.CUP:
+            if 1 <= i <= n + 1:
+                a, b = ("cup", pos, "l"), ("cup", pos, "r")
+                pieces += [a, b]
+                joins[a], joins[b] = [(b, -1)], [(a, -1)]
+                slots[i - 1 : i - 1] = [a, b]
+            else:
+                bad.append(("BadIndex", pos))
+        elif e.kind is EventKind.CAP:
+            if n < 2:
+                bad.append(("NegativeCount", pos))
+            elif 1 <= i <= n - 1:
+                a, b = slots[i - 1], slots[i]
+                joins[a].append((b, pos))
+                joins[b].append((a, pos))
+                del slots[i - 1 : i + 1]
+            else:
+                bad.append(("BadIndex", pos))
+        elif 1 <= i <= n - 1:
+            slots[i - 1], slots[i] = slots[i], slots[i - 1]
+        else:
+            bad.append(("BadIndex", pos))
+        counts.append(len(slots))
+
+    open_ends = set(slots)
+    seen: set = set()
+    closed_at = []
+    for piece in pieces:
+        if piece in seen:
+            continue
+        seen.add(piece)
+        stack, members, top_cap = [piece], [], -1
+        while stack:
+            p = stack.pop()
+            members.append(p)
+            for q, cap_pos in joins[p]:
+                top_cap = max(top_cap, cap_pos)
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        if not any(p[0] == "boundary" or p in open_ends for p in members):
+            closed_at.append(top_cap)
+    if start > 0:
+        bad += [("MultipleComponents", pos) for pos in closed_at]
+    bad.sort(key=lambda v: v[1])
+    if slots:
+        bad.append(("NonzeroEnd", len(events)))
+    return counts, len(closed_at), bad
+
+
+# ---------------------------------------------------------------------------
 # Kauffman bracket by per-state strand relabeling.
 
 

@@ -1,0 +1,39 @@
+"""Budgeted move enumeration, the ZigZagInsert parameter order, and the
+identity hashes of the enum members that key sets and dicts."""
+
+import random
+
+import pytest
+
+from conftest import random_closed_word
+from morsewidth.events import EventKind
+from morsewidth.moves import LENGTH_DELTA, MoveKind, _zigzag_insert_params, enumerate_moves
+
+
+@pytest.mark.parametrize("strands_below", range(21))
+def test_zigzag_insert_params_are_listed_sorted(strands_below):
+    left = [(i, "left") for i in range(2, strands_below + 2)]
+    right = [(i, "right") for i in range(1, strands_below + 1)]
+    assert _zigzag_insert_params((), strands_below) == sorted(left + right)
+
+
+@pytest.mark.parametrize("max_delta", range(-2, 3))
+def test_budget_drops_exactly_the_kinds_over_it(max_delta):
+    rng = random.Random(40 + max_delta)
+    for _ in range(40):
+        word = random_closed_word(rng, max_events=18)
+        every = enumerate_moves(word)
+        expected = [m for m in every if LENGTH_DELTA[m.kind] <= max_delta]
+        assert enumerate_moves(word, max_delta=max_delta) == expected
+    assert enumerate_moves(word, max_delta=None) == every
+
+
+@pytest.mark.parametrize("enum", [EventKind, MoveKind])
+def test_enum_members_hash_by_identity(enum):
+    members = list(enum)
+    for a in members:
+        assert hash(a) == object.__hash__(a)
+        assert a != a.value and a != a.name
+        for b in members:
+            assert (a == b) is (a is b)
+    assert len({*members, *members}) == len(members)
