@@ -16,6 +16,7 @@ from typing import Sequence, Union
 
 from .errors import UnknownName, ValidationError, Violation
 from .events import MorseEvent, MorseWord, TangleWord, cap, cross, cup
+from .moves import Move, MoveKind, apply_move
 
 
 def realize_profile(widths: Sequence[int]) -> MorseWord:
@@ -86,12 +87,9 @@ def pad_with_fingers(word: MorseWord, count: int = 1) -> MorseWord:
     is removable by ZigZagCancel, so the result presents the same knot
     with strictly larger width."""
     for _ in range(count):
-        counts = word.counts
-        m = max(counts)
-        k = counts.index(m)
-        events = list(word.events)
-        events[k:k] = [cup(m), cap(m + 1)]
-        word = MorseWord(events)
+        m = max(word.counts)
+        finger = Move(MoveKind.ZIGZAG_INSERT, word.counts.index(m), (m, "right"))
+        word = apply_move(word, finger)
     return word
 
 

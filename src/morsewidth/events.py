@@ -37,7 +37,7 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class MorseEvent:
     kind: EventKind
     index: int
@@ -83,7 +83,6 @@ class _Trace:
     counts: tuple[int, ...]
     violations: tuple[Violation, ...]
     closed_components: int
-    open_arcs: int
 
 
 def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _Trace:
@@ -156,7 +155,7 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
         violations.append(
             Violation("NonzeroEnd", len(events), f"{len(slots)} strands left open")
         )
-    return _Trace(tuple(counts), tuple(violations), closed, len(slots) // 2)
+    return _Trace(tuple(counts), tuple(violations), closed)
 
 
 def _validated_trace(
@@ -192,22 +191,48 @@ def validate(
     return _validated_trace(tuple(events), boundary_strands, knot)[1]
 
 
-class MorseWord:
-    """A locally valid closed word (a knot or link presentation).
+class _Word:
+    """Value behaviour shared by closed and tangle words: equality and
+    hashing follow ``_key``, and nothing is mutated after construction."""
 
-    Construction validates local validity and closure; words tracing to
-    several components are accepted here and rejected by knot-level
-    operations.  Instances are value objects: equality and hashing follow
-    the event tuple, and nothing is mutated after construction.
-    """
-
-    def __init__(self, events: Iterable[MorseEvent]):
+    def _store(self, events: Iterable[MorseEvent], boundary_strands: int, knot: bool):
+        """Validate ``events`` and keep them with their strand counts."""
         self.events: tuple[MorseEvent, ...] = tuple(events)
-        trace, bad = _validated_trace(self.events, 0, knot=False)
+        trace, bad = _validated_trace(self.events, boundary_strands, knot)
         if bad:
             raise ValidationError(bad)
         self.counts: tuple[int, ...] = trace.counts
         self.component_count: int = trace.closed_components
+
+    def _key(self) -> tuple:
+        return self.events
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __iter__(self) -> Iterator[MorseEvent]:
+        return iter(self.events)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class MorseWord(_Word):
+    """A locally valid closed word (a knot or link presentation).
+
+    Construction validates local validity and closure; words tracing to
+    several components are accepted here and rejected by knot-level
+    operations.  Equality and hashing follow the event tuple.
+    """
+
+    def __init__(self, events: Iterable[MorseEvent]):
+        self._store(events, 0, knot=False)
 
     @property
     def is_knot(self) -> bool:
@@ -217,26 +242,11 @@ class MorseWord:
     def crossing_count(self) -> int:
         return sum(1 for e in self.events if e.kind is EventKind.CROSS)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[MorseEvent]:
-        return iter(self.events)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MorseWord) and self.events == other.events
-
-    def __hash__(self) -> int:
-        return hash(self.events)
-
     def __str__(self) -> str:
         return " ".join(e.token() for e in self.events)
 
-    def __repr__(self) -> str:
-        return f"MorseWord({self})"
 
-
-class TangleWord:
+class TangleWord(_Word):
     """A word presenting a tangle in a ball: 2n boundary strands, no
     closed components, every strand end consumed by the top of the word."""
 
@@ -246,39 +256,18 @@ class TangleWord:
                 [Violation("BadIndex", 0, "boundary strand count must be even and positive")]
             )
         self.boundary_strands = boundary_strands
-        self.events: tuple[MorseEvent, ...] = tuple(events)
-        trace, bad = _validated_trace(self.events, boundary_strands, knot=True)
-        if bad:
-            raise ValidationError(bad)
-        self.counts: tuple[int, ...] = trace.counts
-        self.component_count: int = trace.closed_components  # always 0
+        self._store(events, boundary_strands, knot=True)  # component_count is 0
 
     @property
     def arc_count(self) -> int:
         return self.boundary_strands // 2
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[MorseEvent]:
-        return iter(self.events)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TangleWord)
-            and self.boundary_strands == other.boundary_strands
-            and self.events == other.events
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.boundary_strands, self.events))
+    def _key(self) -> tuple:
+        return (self.boundary_strands, self.events)
 
     def __str__(self) -> str:
         body = " ".join(e.token() for e in self.events)
         return f"tangle {self.boundary_strands} {body}".rstrip()
-
-    def __repr__(self) -> str:
-        return f"TangleWord({self})"
 
 
 def component_count(word: MorseWord | TangleWord) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError, Violation
-from .events import EventKind, MorseEvent, MorseWord, TangleWord, require_knot
+from .events import EventKind, MorseWord, TangleWord, require_knot
 
 THICK = "thick"
 THIN = "thin"
@@ -235,14 +235,8 @@ def embedding_report(word: MorseWord) -> EmbeddingReport:
 
 
 def is_bridge_position(word: MorseWord) -> bool:
-    """True when every cup precedes every cap."""
-    seen_cap = False
-    for e in word.events:
-        if e.kind is EventKind.CAP:
-            seen_cap = True
-        elif e.kind is EventKind.CUP and seen_cap:
-            return False
-    return True
+    """True when every cup precedes every cap: the word has no thin gap."""
+    return not level_profile(word).thin_widths
 
 
 def connected_sum(a: MorseWord, b: MorseWord) -> MorseWord:

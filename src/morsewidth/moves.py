@@ -34,7 +34,7 @@ between them by 4) and from zig-zag insertion/cancellation.  Sites are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -59,13 +59,13 @@ class MoveKind(Enum):
 _KIND_ORDER = {k: n for n, k in enumerate(MoveKind)}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Move:
-    kind: MoveKind = field(compare=False)
+    kind: MoveKind
     site: int
     params: tuple = ()
 
-    # order=True cannot sort across enum members, so sort key is explicit:
+    # Enum members do not order, so the enumeration order is explicit:
     def sort_key(self) -> tuple:
         return (self.site, _KIND_ORDER[self.kind], self.params)
 
@@ -252,19 +252,17 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
 
 def inverse_move(word: MorseWord, move: Move) -> Move:
     """The move that undoes ``move``, to be applied to apply_move's result:
-    the first move at the same site, among the kinds of opposite length
-    delta, whose rewrite restores ``word``."""
+    the first enumerated move at the same site, of opposite length delta,
+    that maps the result back to ``word``."""
     out = apply_move(word, move)
-    ev = out.events
-    k = move.site
-    for kind, rule in _RULES.items():
-        end = k + rule.width
-        if rule.length_delta != -LENGTH_DELTA[move.kind] or end > len(ev):
-            continue
-        window = ev[k:end]
-        for params in rule.params(window, out.counts[k]):
-            if ev[:k] + rule.rewrite(window, params) + ev[end:] == word.events:
-                return Move(kind, k, params)
+    delta = LENGTH_DELTA[move.kind]
+    for back in enumerate_moves(out, -delta):
+        if (
+            back.site == move.site
+            and LENGTH_DELTA[back.kind] == -delta
+            and apply_move(out, back) == word
+        ):
+            return back
     raise InvalidMove(f"no move undoes {move} on {word}")
 
 

@@ -10,7 +10,7 @@ objective value, so the seed only breaks ties.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -46,24 +46,15 @@ _PROFILE_KEYS: dict[ObjectiveKind, Callable[[LevelProfile], tuple]] = {
 
 @dataclass(frozen=True)
 class Objective:
-    """What to minimize.  ``tiebreak`` appends a secondary objective's
-    key, compared only when the primary keys are equal."""
+    """What to minimize."""
 
     kind: ObjectiveKind = ObjectiveKind.GABAI_WIDTH
-    tiebreak: Optional[ObjectiveKind] = None
 
     def key(self, word: MorseWord) -> tuple:
         """The word's key; builds at most one gap profile."""
-        k: tuple = ()
-        profile = None
-        for kind in (self.kind, self.tiebreak):
-            if kind is ObjectiveKind.CRITICAL_COUNT:
-                k += (critical_count(word),)
-            elif kind is not None:
-                if profile is None:
-                    profile = level_profile(word)
-                k += _PROFILE_KEYS[kind](profile)
-        return k
+        if self.kind is ObjectiveKind.CRITICAL_COUNT:
+            return (critical_count(word),)
+        return _PROFILE_KEYS[self.kind](level_profile(word))
 
 
 @dataclass(frozen=True)
@@ -209,8 +200,8 @@ class PositionClasses:
 
 
 def classify_positions(words: Sequence[MorseWord]) -> PositionClasses:
-    """Flag which of the given positions minimize width, critical count,
-    and thick-vector order within the collection.  All words must present
+    """Flag which of the given positions minimize the width, critical-count
+    and OTP objective keys within the collection.  All words must present
     the same knot; sameness is gated by the normalized bracket."""
     words = list(words)
     if not words:
@@ -223,18 +214,12 @@ def classify_positions(words: Sequence[MorseWord]) -> PositionClasses:
             raise BracketMismatch(
                 f"positions disagree on the normalized bracket: {words[0]} vs {w}"
             )
-    reports = [embedding_report(w) for w in words]
-    min_width = min(r.width for r in reports)
-    min_critical = min(r.critical_count for r in reports)
-    min_otp = min((r.otp_vector, r.width) for r in reports)
+    kinds = (ObjectiveKind.GABAI_WIDTH, ObjectiveKind.CRITICAL_COUNT, ObjectiveKind.OTP_LEX)
+    keys = [[Objective(kind).key(w) for kind in kinds] for w in words]
+    minima = [min(column) for column in zip(*keys)]
     positions = tuple(
-        ClassifiedPosition(
-            word=w,
-            report=r,
-            width_minimal=r.width == min_width,
-            critical_minimal=r.critical_count == min_critical,
-            otp_minimal=(r.otp_vector, r.width) == min_otp,
-        )
-        for w, r in zip(words, reports)
+        ClassifiedPosition(w, embedding_report(w), *(k == m for k, m in zip(row, minima)))
+        for w, row in zip(words, keys)
     )
-    return PositionClasses(positions, min_width, min_critical, min_otp[0])
+    (min_width,), (min_critical,), (min_otp, _) = minima
+    return PositionClasses(positions, min_width, min_critical, min_otp)

@@ -141,6 +141,13 @@ class TestEnumeration:
             assert ms == sorted(ms, key=Move.sort_key)
             assert ms == enumerate_moves(w)
 
+    def test_move_equality_includes_kind(self):
+        r2, zigzag = Move(MoveKind.R2_CANCEL, 3), Move(MoveKind.ZIGZAG_CANCEL, 3)
+        assert r2 != zigzag
+        assert len({r2, zigzag}) == 2
+        assert r2 == Move(MoveKind.R2_CANCEL, 3)
+        assert hash(r2) == hash(Move(MoveKind.R2_CANCEL, 3))
+
     def test_trefoil_has_both_kink_insertions_at_each_critical(self):
         kinds = [m for m in enumerate_moves(TREFOIL) if m.kind is MoveKind.R1_INSERT]
         assert len(kinds) == 2 * 4  # two signs at each of 4 cups/caps

@@ -34,19 +34,3 @@ def test_otp_key_builds_one_profile(profiles, name):
 def test_critical_key_builds_no_profile(profiles):
     Objective(ObjectiveKind.CRITICAL_COUNT).key(catalog("cex4_gamma"))
     assert profiles == []
-
-
-@pytest.mark.parametrize(
-    "kind, tiebreak",
-    [
-        (ObjectiveKind.GABAI_WIDTH, ObjectiveKind.OTP_LEX),
-        (ObjectiveKind.TRUNK_ONLY, ObjectiveKind.GABAI_WIDTH),
-        (ObjectiveKind.CRITICAL_COUNT, ObjectiveKind.TRUNK_ONLY),
-        (ObjectiveKind.OTP_LEX, ObjectiveKind.CRITICAL_COUNT),
-    ],
-)
-def test_key_with_tiebreak_builds_one_profile(profiles, kind, tiebreak):
-    word = catalog("bt134")
-    key = Objective(kind, tiebreak).key(word)
-    assert len(profiles) == 1
-    assert key == Objective(kind).key(word) + Objective(tiebreak).key(word)

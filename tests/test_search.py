@@ -66,10 +66,6 @@ class TestBeam:
         assert result.best_report.otp_vector == (4,)
         assert result.best_report.width == 8
 
-    def test_tiebreak_key_appended(self):
-        obj = Objective(ObjectiveKind.TRUNK_ONLY, tiebreak=ObjectiveKind.GABAI_WIDTH)
-        assert obj.key(TREFOIL) == (4, 8)
-
     def test_node_cap_carries_best(self, monkeypatch):
         monkeypatch.setattr(search_mod, "_BEAM_NODE_CAP", 10)
         with pytest.raises(BudgetExceeded) as err:
