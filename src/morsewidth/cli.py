@@ -68,8 +68,7 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _word_json(word: MorseWord) -> dict:
-    report = embedding_report(word)
+def _word_json(report) -> dict:
     out = report.as_dict()
     out["gaps"] = [{"width": g.width, "class": g.classification} for g in report.gaps]
     return out
@@ -86,7 +85,7 @@ def _cmd_analyze(args) -> int:
             }
         )
     else:
-        _emit(_word_json(word))
+        _emit(_word_json(embedding_report(word)))
     return 0
 
 
@@ -102,10 +101,10 @@ def _cmd_optimize(args) -> int:
     result = beam_search(word, objective, config)
     _emit(
         {
-            "input": {"word": serialize(word), "report": _word_json(word)},
+            "input": {"word": serialize(word), "report": _word_json(embedding_report(word))},
             "best": {
                 "word": serialize(result.best_word),
-                "report": _word_json(result.best_word),
+                "report": _word_json(result.best_report),
             },
             "trace": [str(m) for m in result.trace],
             "visited": result.visited,
@@ -117,7 +116,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_sum(args) -> int:
     a, b = _load_closed(args.left), _load_closed(args.right)
     word = connected_sum(a, b)
-    _emit({"word": serialize(word), "report": _word_json(word)})
+    _emit({"word": serialize(word), "report": _word_json(embedding_report(word))})
     return 0
 
 

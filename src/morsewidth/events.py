@@ -195,10 +195,10 @@ class _Word:
     """Value behaviour shared by closed and tangle words: equality and
     hashing follow ``_key``, and nothing is mutated after construction."""
 
-    def _store(self, events: Iterable[MorseEvent], boundary_strands: int, knot: bool):
+    def _store(self, events: Iterable[MorseEvent], boundary_strands: int):
         """Validate ``events`` and keep them with their strand counts."""
         self.events: tuple[MorseEvent, ...] = tuple(events)
-        trace, bad = _validated_trace(self.events, boundary_strands, knot)
+        trace, bad = _validated_trace(self.events, boundary_strands, knot=False)
         if bad:
             raise ValidationError(bad)
         self.counts: tuple[int, ...] = trace.counts
@@ -232,7 +232,7 @@ class MorseWord(_Word):
     """
 
     def __init__(self, events: Iterable[MorseEvent]):
-        self._store(events, 0, knot=False)
+        self._store(events, 0)
 
     @property
     def is_knot(self) -> bool:
@@ -256,7 +256,7 @@ class TangleWord(_Word):
                 [Violation("BadIndex", 0, "boundary strand count must be even and positive")]
             )
         self.boundary_strands = boundary_strands
-        self._store(events, boundary_strands, knot=True)  # component_count is 0
+        self._store(events, boundary_strands)
 
     @property
     def arc_count(self) -> int:

@@ -2,18 +2,19 @@
 
 Between two consecutive critical events (cups and caps; crossings are not
 critical for the height function) the strand count is constant.  Each such
-regular interval is a *gap* whose width is that count.  A gap is *thick*
-when a cup lies below it and a cap above, *thin* in the opposite case, and
-unclassified otherwise.  For a closed word the thick and thin gaps
+regular interval is a *gap* whose width is that count.  The *levels* are
+the strand counts with the repeats at crossings collapsed: 0, each gap's
+width, 0.  A gap is *thick* at a local maximum of the levels, *thin* at a
+local minimum, and unclassified otherwise.  The thick and thin gaps
 alternate, starting and ending thick, so #thick = #thin + 1.
 
-From the gap profile:
+From the levels:
 
 * width        -- Gabai width, the sum of all gap widths; equivalently
                   (sum of thick^2 - sum of thin^2) / 2.
 * trunk        -- the largest gap width (always attained at a thick gap).
 * height       -- the number of thick gaps.
-* bridge_count -- the number of caps (= number of cups).
+* bridge_count -- the number of caps (= number of cups): half the level steps.
 * otp_vector   -- thick widths, sorted non-increasing; compared
                   lexicographically with a proper prefix ordered first.
 
@@ -26,11 +27,11 @@ and position comparisons are per word set (see position search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import ValidationError, Violation
-from .events import EventKind, MorseWord, TangleWord, require_knot
+from .events import MorseWord, TangleWord, require_knot
 
 THICK = "thick"
 THIN = "thin"
@@ -42,43 +43,39 @@ class Gap:
     """One regular interval between consecutive critical events."""
 
     width: int
-    below: EventKind
-    above: EventKind
-
-    @property
-    def classification(self) -> str:
-        if self.below is EventKind.CUP and self.above is EventKind.CAP:
-            return THICK
-        if self.below is EventKind.CAP and self.above is EventKind.CUP:
-            return THIN
-        return NEITHER
+    classification: str
 
 
 @dataclass(frozen=True)
 class LevelProfile:
-    """Gap widths, bottom to top, and the kinds of the critical events
-    around them (``kinds[t]`` below gap t, ``kinds[t + 1]`` above it)."""
+    """The levels of a closed word: 0, each gap's width bottom to top, 0."""
 
-    widths: tuple[int, ...]
-    kinds: tuple[EventKind, ...]
+    levels: tuple[int, ...]
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return self.levels[1:-1]
+
+    def _classes(self) -> list[str]:
+        """Each gap's class: thick at a local maximum, thin at a local minimum."""
+        lv = self.levels
+        return [
+            THICK if below < w > above else THIN if below > w < above else NEITHER
+            for below, w, above in zip(lv, lv[1:], lv[2:])
+        ]
 
     @property
     def gaps(self) -> tuple[Gap, ...]:
         """The profile as ``Gap`` objects, for reports."""
-        k = self.kinds
-        return tuple(Gap(w, k[t], k[t + 1]) for t, w in enumerate(self.widths))
-
-    def _widths_between(self, below: EventKind, above: EventKind) -> tuple[int, ...]:
-        k = self.kinds
-        return tuple(w for w, b, a in zip(self.widths, k, k[1:]) if b is below and a is above)
+        return tuple(map(Gap, self.widths, self._classes()))
 
     @property
     def thick_widths(self) -> tuple[int, ...]:
-        return self._widths_between(EventKind.CUP, EventKind.CAP)
+        return tuple(w for w, k in zip(self.widths, self._classes()) if k == THICK)
 
     @property
     def thin_widths(self) -> tuple[int, ...]:
-        return self._widths_between(EventKind.CAP, EventKind.CUP)
+        return tuple(w for w, k in zip(self.widths, self._classes()) if k == THIN)
 
     @property
     def width(self) -> int:
@@ -93,24 +90,27 @@ class LevelProfile:
         return len(self.thick_widths)
 
     @property
+    def bridge(self) -> int:
+        return len(self.levels) // 2  # one cup step and one cap step per bridge
+
+    @property
     def otp_vector(self) -> tuple[int, ...]:
         return tuple(sorted(self.thick_widths, reverse=True))
 
     @property
+    def proportion(self) -> Fraction:
+        return Fraction(self.trunk, self.height * 2 * self.bridge)
+
+    @property
     def average_trunk(self) -> Fraction:
-        thick = self.thick_widths
-        return Fraction(sum(thick), len(thick))
+        return Fraction(sum(self.thick_widths), self.height)
 
 
 def level_profile(word: MorseWord) -> LevelProfile:
-    """Gap profile of a closed word (crossings merge into their gap)."""
-    cross = EventKind.CROSS
-    critical = [pos for pos, ev in enumerate(word.events) if ev.kind is not cross]
-    counts, events = word.counts, word.events
-    return LevelProfile(
-        tuple([counts[pos + 1] for pos in critical[:-1]]),
-        tuple([events[pos].kind for pos in critical]),
-    )
+    """The levels, read off the strand counts alone: a count equal to the
+    next one is dropped (a crossing repeats it), and the final 0 is kept."""
+    counts = word.counts
+    return LevelProfile(tuple([c for c, d in zip(counts, counts[1:]) if c != d]) + (0,))
 
 
 def width(word: MorseWord) -> int:
@@ -126,7 +126,7 @@ def height(word: MorseWord) -> int:
 
 
 def bridge_count(word: MorseWord) -> int:
-    return sum(1 for e in word.events if e.kind is EventKind.CAP)
+    return level_profile(word).bridge
 
 
 def critical_count(word: MorseWord) -> int:
@@ -154,11 +154,7 @@ def otp_compare(a, b) -> int:
 
 def proportion(word: MorseWord) -> Fraction:
     """trunk / (height * 2 * bridge), exactly; equals 1 on bridge positions."""
-    return _proportion(level_profile(word), bridge_count(word))
-
-
-def _proportion(profile: LevelProfile, bridge: int) -> Fraction:
-    return Fraction(profile.trunk, profile.height * 2 * bridge)
+    return level_profile(word).proportion
 
 
 def average_trunk(word: MorseWord) -> Fraction:
@@ -194,39 +190,30 @@ class EmbeddingReport:
     gaps: tuple[Gap, ...] = field(compare=False, repr=False)
 
     def as_dict(self) -> dict:
-        """JSON-ready dict; rationals become {num, den} in lowest terms."""
-        return {
-            "width": self.width,
-            "trunk": self.trunk,
-            "height": self.height,
-            "bridge": self.bridge,
-            "critical_count": self.critical_count,
-            "otp_vector": list(self.otp_vector),
-            "proportion": {
-                "num": self.proportion.numerator,
-                "den": self.proportion.denominator,
-            },
-            "average_trunk": {
-                "num": self.average_trunk.numerator,
-                "den": self.average_trunk.denominator,
-            },
-            "rep_upper": self.rep_upper,
-            "waist_upper": self.waist_upper,
-        }
+        """JSON-ready dict of every field but ``gaps``, in field order; the
+        vector becomes a list and rationals {num, den} in lowest terms."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gaps"}
+        out["otp_vector"] = list(self.otp_vector)
+        for name in ("proportion", "average_trunk"):
+            out[name] = {"num": out[name].numerator, "den": out[name].denominator}
+        return out
 
 
 def embedding_report(word: MorseWord) -> EmbeddingReport:
-    require_knot(word)
-    profile = level_profile(word)
-    top, bridge = profile.trunk, bridge_count(word)
+    return _report(level_profile(require_knot(word)))
+
+
+def _report(profile: LevelProfile) -> EmbeddingReport:
+    """The report of a knot word, every field read off its profile."""
+    top, bridge = profile.trunk, profile.bridge
     return EmbeddingReport(
         width=profile.width,
         trunk=top,
         height=profile.height,
         bridge=bridge,
-        critical_count=critical_count(word),
+        critical_count=len(profile.levels) - 1,  # one step per cup or cap
         otp_vector=profile.otp_vector,
-        proportion=_proportion(profile, bridge),
+        proportion=profile.proportion,
         average_trunk=profile.average_trunk,
         rep_upper=min(bridge, top // 2),
         waist_upper=top // 3,

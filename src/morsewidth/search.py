@@ -21,6 +21,7 @@ from .events import MorseWord, require_knot
 from .invariants import (
     EmbeddingReport,
     LevelProfile,
+    _report,
     critical_count,
     embedding_report,
     level_profile,
@@ -214,12 +215,15 @@ def classify_positions(words: Sequence[MorseWord]) -> PositionClasses:
             raise BracketMismatch(
                 f"positions disagree on the normalized bracket: {words[0]} vs {w}"
             )
-    kinds = (ObjectiveKind.GABAI_WIDTH, ObjectiveKind.CRITICAL_COUNT, ObjectiveKind.OTP_LEX)
-    keys = [[Objective(kind).key(w) for kind in kinds] for w in words]
+    profiles = [level_profile(w) for w in words]  # one per word: its keys and its report
+    width_key = _PROFILE_KEYS[ObjectiveKind.GABAI_WIDTH]
+    otp_key = _PROFILE_KEYS[ObjectiveKind.OTP_LEX]
+    critical_key = Objective(ObjectiveKind.CRITICAL_COUNT).key
+    keys = [(width_key(p), critical_key(w), otp_key(p)) for w, p in zip(words, profiles)]
     minima = [min(column) for column in zip(*keys)]
     positions = tuple(
-        ClassifiedPosition(w, embedding_report(w), *(k == m for k, m in zip(row, minima)))
-        for w, row in zip(words, keys)
+        ClassifiedPosition(w, _report(p), *(k == m for k, m in zip(row, minima)))
+        for w, p, row in zip(words, profiles, keys)
     )
     (min_width,), (min_critical,), (min_otp, _) = minima
     return PositionClasses(positions, min_width, min_critical, min_otp)

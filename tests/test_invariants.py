@@ -55,6 +55,25 @@ class TestLevelProfile:
             got = [(g.width, g.classification) for g in level_profile(w).gaps]
             assert got == oracle_gaps(w.events)
 
+    def test_levels_are_the_collapsed_strand_counts(self, rng):
+        links = 0
+        for _ in range(400):
+            w = random_closed_word(rng)
+            links += w.component_count > 1
+            lp = level_profile(w)
+            lv = lp.levels
+            assert lv[0] == lv[-1] == 0
+            assert all(abs(above - below) == 2 for below, above in zip(lv, lv[1:]))
+            assert lp.widths == lv[1:-1]
+            # Gap t sits at lv[t + 1]; its extrema are the oracle's classes.
+            steps = list(enumerate(zip(lv, lv[1:], lv[2:])))
+            maxima = [(t, g) for t, (below, g, above) in steps if below < g > above]
+            minima = [(t, g) for t, (below, g, above) in steps if below > g < above]
+            gaps = list(enumerate(oracle_gaps(w.events)))
+            assert maxima == [(t, g) for t, (g, cls) in gaps if cls == THICK]
+            assert minima == [(t, g) for t, (g, cls) in gaps if cls == THIN]
+        assert links > 0
+
     def test_thin_gap_word(self):
         # two humps: thick 2, thin 2 between them is impossible; use 4,2,4
         w = MorseWord([cup(1), cup(1), cap(1), cup(1), cap(1), cap(1)])

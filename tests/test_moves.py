@@ -8,7 +8,7 @@ from conftest import random_closed_word, random_knot_word
 from morsewidth.bracket import jones_normalized, kauffman_bracket
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseWord, cap, cross, cup
-from morsewidth.invariants import width
+from morsewidth.invariants import level_profile, width
 from morsewidth.moves import (
     LENGTH_DELTA,
     Move,
@@ -180,6 +180,25 @@ class TestSoundness:
             for m in enumerate_moves(w)[::2]:
                 out = apply_move(w, m)
                 assert apply_move(out, inverse_move(w, m)) == w, (str(w), str(m))
+
+    def test_only_zigzags_and_cup_cap_exchanges_change_the_profile(self, rng):
+        # A crossing repeats the strand count, and two cups (or two caps) step
+        # it the same way in either order, so every other move keeps the levels.
+        zigzags = (MoveKind.ZIGZAG_CANCEL, MoveKind.ZIGZAG_INSERT)
+        checked = 0
+        for _ in range(300):
+            w = random_closed_word(rng)
+            profile = level_profile(w)
+            for m in enumerate_moves(w):
+                if m.kind in zigzags:
+                    continue
+                if m.kind is MoveKind.COMMUTE_DISTANT:
+                    pair = {e.kind for e in w.events[m.site : m.site + 2]}
+                    if pair == {EventKind.CUP, EventKind.CAP}:
+                        continue
+                assert level_profile(apply_move(w, m)) == profile, (str(w), str(m))
+                checked += 1
+        assert checked > 10_000
 
     def test_plain_commute_is_involution(self, rng):
         # Exception: a commute landing exactly on the cap-cup coincident

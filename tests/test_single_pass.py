@@ -1,5 +1,6 @@
-"""A report builds its gap profile once; the bracket command computes the
-bracket once."""
+"""A report builds its gap profile once; position classification builds
+one profile per word; optimize builds one report per distinct word; the
+bracket command computes the bracket once."""
 
 import json
 
@@ -8,6 +9,7 @@ import pytest
 import morsewidth.bracket as bracket_mod
 import morsewidth.cli as cli_mod
 import morsewidth.invariants as invariants_mod
+import morsewidth.search as search_mod
 from morsewidth.catalog import catalog
 
 
@@ -46,6 +48,29 @@ def test_analyze_builds_one_profile(profiles, capsys):
     assert cli_mod.main(["analyze", "catalog:cex4_gamma"]) == 0
     assert len(profiles) == 1
     assert json.loads(capsys.readouterr().out)["gaps"]
+
+
+STAND_INS = ["cex4_gamma", "cex4_gamma_prime", "bt134", "bt_mcp", "stack_101010"]
+
+
+def test_classify_positions_builds_one_profile_per_word(monkeypatch):
+    calls = _counting(monkeypatch, [invariants_mod, search_mod], "level_profile")
+    words = [catalog(name) for name in STAND_INS]
+    classes = search_mod.classify_positions(words)
+    assert len(calls) == len(words)
+    for position in classes.positions:
+        assert position.report == invariants_mod.embedding_report(position.word)
+
+
+def test_optimize_builds_one_report_per_word(monkeypatch, capsys):
+    calls = _counting(
+        monkeypatch, [invariants_mod, search_mod, cli_mod], "embedding_report"
+    )
+    argv = ["optimize", "catalog:padded_trefoil", "--steps", "3"]
+    assert cli_mod.main(argv) == 0
+    assert len(calls) == 2  # the input word and the best word
+    data = json.loads(capsys.readouterr().out)
+    assert data["input"]["word"] != data["best"]["word"]
 
 
 def test_bracket_command_computes_one_bracket(brackets, capsys):
