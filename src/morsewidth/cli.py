@@ -98,10 +98,11 @@ def _cmd_optimize(args) -> int:
         insertion_budget=args.insertions,
         random_seed=args.seed,
     )
+    report = _word_json(embedding_report(word))  # refuses a link before any search
     result = beam_search(word, objective, config)
     _emit(
         {
-            "input": {"word": serialize(word), "report": _word_json(embedding_report(word))},
+            "input": {"word": serialize(word), "report": report},
             "best": {
                 "word": serialize(result.best_word),
                 "report": _word_json(result.best_report),

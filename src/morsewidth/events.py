@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError, Violation
 
@@ -37,18 +37,25 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class MorseEvent:
+class _EventFields(NamedTuple):
     kind: EventKind
     index: int
     sign: int = 0  # +1 or -1 for crossings, 0 otherwise
 
-    def __post_init__(self):
-        if self.kind is EventKind.CROSS:
-            if self.sign not in (+1, -1):
+
+class MorseEvent(_EventFields):
+    """One event; a tuple, so hashing and comparing keys of events stay in C."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(cls, kind: EventKind, index: int, sign: int = 0):
+        if kind is EventKind.CROSS:
+            if sign not in (+1, -1):
                 raise ValueError("crossing sign must be +1 or -1")
-        elif self.sign != 0:
+        elif sign != 0:
             raise ValueError("only crossings carry a sign")
+        return tuple.__new__(cls, (kind, index, sign))
 
     @property
     def is_critical(self) -> bool:

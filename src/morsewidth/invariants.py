@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ValidationError, Violation
 from .events import MorseWord, TangleWord, require_knot
@@ -56,6 +57,7 @@ class LevelProfile:
     def widths(self) -> tuple[int, ...]:
         return self.levels[1:-1]
 
+    @cached_property
     def _classes(self) -> list[str]:
         """Each gap's class: thick at a local maximum, thin at a local minimum."""
         lv = self.levels
@@ -67,15 +69,15 @@ class LevelProfile:
     @property
     def gaps(self) -> tuple[Gap, ...]:
         """The profile as ``Gap`` objects, for reports."""
-        return tuple(map(Gap, self.widths, self._classes()))
+        return tuple(map(Gap, self.widths, self._classes))
 
     @property
     def thick_widths(self) -> tuple[int, ...]:
-        return tuple(w for w, k in zip(self.widths, self._classes()) if k == THICK)
+        return tuple(w for w, k in zip(self.widths, self._classes) if k == THICK)
 
     @property
     def thin_widths(self) -> tuple[int, ...]:
-        return tuple(w for w, k in zip(self.widths, self._classes()) if k == THIN)
+        return tuple(w for w, k in zip(self.widths, self._classes) if k == THIN)
 
     @property
     def width(self) -> int:

@@ -244,7 +244,19 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
     in_range = 0 <= k and end <= len(ev)
     if not in_range or move.params not in rule.params(ev[k:end], word.counts[k]):
         raise InvalidMove(f"{move} does not apply to {word}")
-    result = MorseWord(ev[:k] + rule.rewrite(ev[k:end], move.params) + ev[end:])
+    return _build(_splice(ev, move), word, move)
+
+
+def _splice(events: tuple[MorseEvent, ...], move: Move) -> tuple[MorseEvent, ...]:
+    """The events with the move's rewrite in its window; the move is unchecked."""
+    rule = _RULES[move.kind]
+    k, end = move.site, move.site + rule.width
+    return events[:k] + rule.rewrite(events[k:end], move.params) + events[end:]
+
+
+def _build(events: tuple[MorseEvent, ...], word: MorseWord, move: Move) -> MorseWord:
+    """The word of ``_splice(word.events, move)``, simulated and checked."""
+    result = MorseWord(events)
     if result.component_count != word.component_count:
         raise InvalidMove(f"{move} changed the component count of {word}")
     return result
@@ -266,17 +278,17 @@ def inverse_move(word: MorseWord, move: Move) -> Move:
     raise InvalidMove(f"no move undoes {move} on {word}")
 
 
-def canonical_key(word: MorseWord) -> tuple[MorseEvent, ...]:
-    """Normal form for visited sets: within each maximal run of
-    consecutive crossings, greedily bubble distant crossings into
-    lowest-index-first order.  Crossing commutation never reindexes, so
-    this is the unique lexicographic normal form of the run; two words
-    equal up to distant crossing commutation always share a key.
+def canonical_key(events: Sequence[MorseEvent]) -> tuple[MorseEvent, ...]:
+    """Normal form of a word or any event sequence, for visited sets:
+    within each maximal run of consecutive crossings, greedily bubble
+    distant crossings into lowest-index-first order.  Crossing commutation
+    never reindexes, so this is the unique lexicographic normal form of
+    the run; two words equal up to it always share a key.
     Crossings are never pulled past cups or caps: that rewriting is
     order-sensitive and would make the key depend on bubbling history."""
-    ev = list(word.events)
+    ev = list(events)
     cross = EventKind.CROSS
-    changed = True
+    changed = len(ev) > 1
     while changed:
         changed = False
         a = ev[0]  # the event at k - 1

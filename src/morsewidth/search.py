@@ -26,7 +26,7 @@ from .invariants import (
     embedding_report,
     level_profile,
 )
-from .moves import Move, apply_move, canonical_key, enumerate_moves
+from .moves import Move, _build, _splice, canonical_key, enumerate_moves
 
 
 class ObjectiveKind(Enum):
@@ -105,8 +105,8 @@ def _frontier_search(
     keep: Optional[int] = None,
 ) -> SearchResult:
     """The loop behind both searches.  Each step applies every move within
-    the length budget to every frontier word and drops positions already
-    seen (by canonical key).  The new ones, sorted by ``rank`` if given,
+    the length budget to every frontier word and builds only positions not
+    yet seen (by canonical key).  The new ones, sorted by ``rank`` if given,
     offer the best word and form the next frontier: the first ``keep``, or all."""
     max_len = len(start.events) + insertion_budget
     visited = {canonical_key(start)}
@@ -117,11 +117,15 @@ def _frontier_search(
         candidates: list[_Candidate] = []
         for _, word, trail in frontier:
             for move in enumerate_moves(word, max_len - len(word.events)):
-                new_word = apply_move(word, move)
+                # Key first, build only new positions.  Equal keys differ only
+                # by distant crossing swaps, which keep index validity, counts
+                # and component count: the word first seen with a key checked it.
+                events = _splice(word.events, move)
                 seen = len(visited)
-                visited.add(canonical_key(new_word))  # one hash per key
+                visited.add(canonical_key(events))  # one hash per key
                 if len(visited) == seen:
                     continue
+                new_word = _build(events, word, move)
                 candidates.append((objective.key(new_word), new_word, (trail, move)))
                 if len(visited) > node_cap:
                     best = min([best, *candidates], key=itemgetter(0))

@@ -1,0 +1,124 @@
+"""The frontier loop keys a spliced candidate before it builds a word.
+
+A search builds (and fully validates) one ``MorseWord`` per new position
+and none for a duplicate.  Skipping duplicates is sound because words
+sharing a canonical key share their strand counts and component count.
+Events are tuples, so keys hash in C.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+import morsewidth.events as events_mod
+import morsewidth.moves as moves_mod
+from conftest import random_closed_word
+from morsewidth.catalog import catalog, pad_with_fingers
+from morsewidth.errors import InvalidMove
+from morsewidth.events import EventKind, MorseEvent, MorseWord, cap, cross, cup
+from morsewidth.moves import MoveKind, apply_move, canonical_key, enumerate_moves
+from morsewidth.search import SearchConfig, beam_search, exhaustive_min
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    calls = []
+    original = MorseWord.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(events_mod.MorseWord, "__init__", counting)
+    return calls
+
+
+def test_beam_search_builds_each_new_position_once(constructions):
+    start = pad_with_fingers(catalog("trefoil_plat"), 2)
+    constructions.clear()
+    result = beam_search(start, config=SearchConfig(max_steps=4, random_seed=3))
+    assert result.visited > 1000
+    assert len(constructions) == result.visited - 1
+
+
+def test_exhaustive_min_builds_each_new_position_once(constructions):
+    start = pad_with_fingers(catalog("trefoil_plat"), 1)
+    constructions.clear()
+    result = exhaustive_min(start, radius=3, insertion_budget=1)
+    assert result.visited > 500
+    assert len(constructions) == result.visited - 1
+
+
+def test_component_change_is_refused_inside_a_search(monkeypatch):
+    # A closed loop in place of a finger: a valid word with one more component.
+    def loop(window, params):
+        return (cup(params[0]), cap(params[0]))
+
+    rule = moves_mod._RULES[MoveKind.ZIGZAG_INSERT]
+    monkeypatch.setitem(
+        moves_mod._RULES, MoveKind.ZIGZAG_INSERT, dataclasses.replace(rule, rewrite=loop)
+    )
+    with pytest.raises(InvalidMove, match="component count"):
+        beam_search(catalog("trefoil_plat"), config=SearchConfig(max_steps=2))
+
+
+def test_key_of_word_equals_key_of_its_events():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        word = random_closed_word(rng)
+        key = canonical_key(word)
+        assert key == canonical_key(word.events) == canonical_key(list(word.events))
+        assert type(key) is tuple
+    assert canonical_key(()) == () and canonical_key([cup(1)]) == (cup(1),)
+
+
+def test_words_sharing_a_key_share_counts_and_components():
+    rng = random.Random(7)
+    shapes: dict[tuple, set] = {}
+    for _ in range(60):
+        word = random_closed_word(rng)
+        rebuilt = MorseWord(canonical_key(word))
+        assert (rebuilt.counts, rebuilt.component_count) == (
+            word.counts,
+            word.component_count,
+        )
+        for move in enumerate_moves(word, 0):
+            out = apply_move(word, move)
+            shape = (out.counts, out.component_count)
+            shapes.setdefault(canonical_key(out), set()).add((out.events, shape))
+    shared = [group for group in shapes.values() if len(group) > 1]
+    assert shared  # distinct words do meet on one key
+    for group in shapes.values():
+        assert len({shape for _, shape in group}) == 1
+
+
+def test_events_hash_and_compare_as_tuples():
+    assert MorseEvent.__hash__ is tuple.__hash__
+    assert isinstance(cross(2, 1), tuple)
+    assert hash(cross(2, 1)) == hash(MorseEvent(EventKind.CROSS, 2, 1))
+    assert cup(1) == MorseEvent(EventKind.CUP, 1) != cap(1)
+    assert (cup(2).kind, cup(2).index, cup(2).sign) == (EventKind.CUP, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, sign",
+    [(EventKind.CROSS, 0), (EventKind.CROSS, 2), (EventKind.CUP, 1), (EventKind.CAP, -1)],
+)
+def test_bad_sign_raises_value_error(kind, sign):
+    with pytest.raises(ValueError):
+        MorseEvent(kind, 1, sign)
+    with pytest.raises(ValueError):
+        MorseEvent._make((kind, 1, sign))
+    good = cross(1, 1) if kind is EventKind.CROSS else MorseEvent(kind, 1)
+    with pytest.raises(ValueError):
+        good._replace(sign=sign)
+
+
+def test_events_are_immutable():
+    event = cross(1, -1)
+    with pytest.raises(AttributeError):
+        event.index = 2
+    with pytest.raises(AttributeError):
+        event.extra = 0
+    assert not hasattr(event, "__dict__")

@@ -1,5 +1,6 @@
 """A report builds its gap profile once; position classification builds
-one profile per word; optimize builds one report per distinct word; the
+one profile per word; optimize builds one report per distinct word and
+refuses a link before it searches; a report classifies its gaps once; the
 bracket command computes the bracket once."""
 
 import json
@@ -79,3 +80,24 @@ def test_bracket_command_computes_one_bracket(brackets, capsys):
     data = json.loads(capsys.readouterr().out)
     word = catalog("trefoil_plat")
     assert data["jones_normalized"] == str(bracket_mod.jones_normalized(word))
+
+
+def test_embedding_report_classifies_gaps_once(monkeypatch):
+    calls = []
+    classes = invariants_mod.LevelProfile._classes  # the cached_property
+    original = classes.func
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(classes, "func", counting)
+    invariants_mod.embedding_report(catalog("bt134"))
+    assert len(calls) == 1
+
+
+def test_optimize_refuses_a_link_before_searching(monkeypatch, capsys):
+    calls = _counting(monkeypatch, [cli_mod], "beam_search")
+    assert cli_mod.main(["optimize", "b1 b1 b3 x2+ x2+ d3 d1 d1", "--steps", "6"]) == 1
+    assert calls == []
+    assert "MultipleComponents" in capsys.readouterr().err
