@@ -19,7 +19,6 @@ strand end to the far end of its arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -85,11 +84,11 @@ def cross(index: int, sign: int) -> MorseEvent:
     return MorseEvent(EventKind.CROSS, index, sign)
 
 
-@dataclass(frozen=True)
-class _Trace:
+class _Trace(NamedTuple):
     counts: tuple[int, ...]
     violations: tuple[Violation, ...]
     closed_components: int
+    matching: tuple[int, ...]  # the point an arc joins to each boundary point
 
 
 def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _Trace:
@@ -97,11 +96,13 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
 
     Invalid events are skipped (best effort) so that several violations can
     be reported at once.  Strand slots hold end ids; ``other[e]`` is the far
-    end of e's arc, or -1 when that arc runs down to the tangle boundary.  A
-    cap joining the two ends of one arc closes a component; any other cap
-    links the far ends of the two arcs it joins.
+    end of e's arc.  The bottom strands start as ends 0..start_count-1
+    whose far ends are the boundary points, ids start_count..2*start_count-1.
+    A cap joining the two ends of one arc closes a component; any other cap
+    links the far ends of the two arcs it joins.  The boundary points are
+    numbered bottom first (0..start_count-1), then the strands open at the top.
     """
-    other = [-1] * start_count
+    other = [*range(start_count, 2 * start_count), *range(start_count)]
     slots = list(range(start_count))
     counts = [start_count]
     violations: list[Violation] = []
@@ -144,10 +145,8 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
                             )
                         )
                 else:
-                    if far_a >= 0:
-                        other[far_a] = far_b
-                    if far_b >= 0:
-                        other[far_b] = far_a
+                    other[far_a] = far_b
+                    other[far_b] = far_a
                 del slots[i - 1 : i + 1]
         else:  # CROSS
             if not 1 <= i <= n - 1:
@@ -162,7 +161,10 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
         violations.append(
             Violation("NonzeroEnd", len(events), f"{len(slots)} strands left open")
         )
-    return _Trace(tuple(counts), tuple(violations), closed)
+    point = {e: start_count + p for p, e in enumerate(slots)}  # at the top
+    point.update((start_count + j, j) for j in range(start_count))  # at the bottom
+    ends = [*range(start_count, 2 * start_count), *slots]
+    return _Trace(tuple(counts), tuple(violations), closed, tuple(point[other[e]] for e in ends))
 
 
 def _validated_trace(
@@ -240,6 +242,14 @@ class MorseWord(_Word):
 
     def __init__(self, events: Iterable[MorseEvent]):
         self._store(events, 0)
+
+    @classmethod
+    def _patched(cls, events: tuple, counts: tuple, component_count: int) -> MorseWord:
+        """A word whose counts and component count its caller derived and
+        checked (a search patches them from the parent word): no simulation."""
+        word = cls.__new__(cls)
+        word.events, word.counts, word.component_count = events, counts, component_count
+        return word
 
     @property
     def is_knot(self) -> bool:

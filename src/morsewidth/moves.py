@@ -26,6 +26,10 @@ count below it: the kind's only validity predicate) and ``rewrite`` (the
 window's replacement).  Enumeration, application, inverses, LENGTH_DELTA
 and WRITHE_CHANGING all derive from the table, with no per-kind code.
 
+``apply_move`` simulates and checks every word it makes.  A search instead
+memoizes the moves of a site (``_sites``) and each rewrite with the local
+check that lets it patch a new word from its parent (``_rewrite``).
+
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
 between them by 4) and from zig-zag insertion/cancellation.  Sites are
@@ -36,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import groupby
+from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidMove
-from .events import EventKind, MorseEvent, MorseWord, cap, cross, cup
+from .events import EventKind, MorseEvent, MorseWord, _simulate, cap, cross, cup
 
 
 class MoveKind(Enum):
@@ -214,29 +219,45 @@ LENGTH_DELTA = {kind: rule.length_delta for kind, rule in _RULES.items()}
 WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe_changing)
 
 
+def _sites(word: MorseWord, max_delta: int | None, memo: dict) -> Iterator[tuple]:
+    """(site, kind, rule, params) of each move of ``enumerate_moves``.  A
+    site's moves of the kinds within ``max_delta`` depend only on the events
+    from it, as far as the widest window reaches, and the strand count below
+    it: ``memo`` maps those kinds, then that pair, to the site's (kind, rule,
+    params list) entries."""
+    ev, counts = word.events, word.counts
+    rules = [
+        (kind, rule)
+        for kind, rule in _RULES.items()
+        if max_delta is None or rule.length_delta <= max_delta
+    ]
+    reach = max((rule.width for _, rule in rules), default=0)
+    known = memo.setdefault(tuple(kind for kind, _ in rules), {})
+    for k in range(len(ev) + 1):
+        site = (ev[k : k + reach], counts[k])
+        entries = known.get(site)
+        if entries is None:
+            window, n = site
+            entries = known[site] = [
+                (kind, rule, found)
+                for kind, rule in rules
+                if rule.width <= len(window) and (found := rule.params(window[: rule.width], n))
+            ]
+        for kind, rule, found in entries:
+            for params in found:
+                yield k, kind, rule, params
+
+
 def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]:
     """All valid moves, in deterministic order (site, then kind, then
     parameters).  ``max_delta`` leaves out the kinds whose length delta
     exceeds it, as a length budget would; None keeps every kind."""
-    ev = word.events
-    counts = word.counts
-    rules = [
-        (kind, rule.width, rule.params)
-        for kind, rule in _RULES.items()
-        if max_delta is None or rule.length_delta <= max_delta
-    ]
-    moves: list[Move] = []
-    for k in range(len(ev) + 1):
-        for kind, width, params in rules:
-            end = k + width
-            if end <= len(ev):
-                for p in params(ev[k:end], counts[k]):
-                    moves.append(Move(kind, k, p))
-    return moves
+    return [Move(kind, k, params) for k, kind, _, params in _sites(word, max_delta, {})]
 
 
 def apply_move(word: MorseWord, move: Move) -> MorseWord:
-    """Apply one move; InvalidMove if its predicate fails at the site."""
+    """Apply one move; InvalidMove if its predicate fails at the site or the
+    result has another component count."""
     ev = word.events
     k = move.site
     rule = _RULES[move.kind]
@@ -244,22 +265,33 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
     in_range = 0 <= k and end <= len(ev)
     if not in_range or move.params not in rule.params(ev[k:end], word.counts[k]):
         raise InvalidMove(f"{move} does not apply to {word}")
-    return _build(_splice(ev, move), word, move)
-
-
-def _splice(events: tuple[MorseEvent, ...], move: Move) -> tuple[MorseEvent, ...]:
-    """The events with the move's rewrite in its window; the move is unchecked."""
-    rule = _RULES[move.kind]
-    k, end = move.site, move.site + rule.width
-    return events[:k] + rule.rewrite(events[k:end], move.params) + events[end:]
-
-
-def _build(events: tuple[MorseEvent, ...], word: MorseWord, move: Move) -> MorseWord:
-    """The word of ``_splice(word.events, move)``, simulated and checked."""
-    result = MorseWord(events)
+    result = MorseWord(ev[:k] + rule.rewrite(ev[k:end], move.params) + ev[end:])
     if result.component_count != word.component_count:
         raise InvalidMove(f"{move} changed the component count of {word}")
     return result
+
+
+def _rewrite(memo: dict, rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
+    """(rewrite events, local counts, flat) of a move on ``window`` with
+    ``n0`` strands below it, once per ``memo``.  The local check traces both
+    as tangles on n0 strands: the rewrite needs valid indices and the
+    window's top count, boundary matching and closed loops, which keeps the
+    component count in any word.  The local counts (None if it fails) are the
+    rewrite's from n0 up; flat means equal collapsed counts, so equal levels."""
+    key = (rule.rewrite, window, params, n0)
+    entry = memo.get(key)
+    if entry is None:
+        new = rule.rewrite(window, params)
+        before, after = _simulate(window, n0, False), _simulate(new, n0, False)
+        valid = all(v.code == "NonzeroEnd" for v in after.violations)
+        shape = (after.counts[-1], after.matching, after.closed_components)
+        if valid and shape == (before.counts[-1], before.matching, before.closed_components):
+            levels = [[c for c, _ in groupby(t.counts)] for t in (before, after)]
+            entry = (new, after.counts, levels[0] == levels[1])
+        else:
+            entry = (new, None, False)
+        memo[key] = entry
+    return entry
 
 
 def inverse_move(word: MorseWord, move: Move) -> Move:

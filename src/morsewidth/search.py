@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .bracket import jones_normalized
-from .errors import BracketMismatch, BudgetExceeded
+from .errors import BracketMismatch, BudgetExceeded, InvalidMove
 from .events import MorseWord, require_knot
 from .invariants import (
     EmbeddingReport,
@@ -26,7 +26,7 @@ from .invariants import (
     embedding_report,
     level_profile,
 )
-from .moves import Move, _build, _splice, canonical_key, enumerate_moves
+from .moves import Move, _rewrite, _sites, canonical_key
 
 
 class ObjectiveKind(Enum):
@@ -85,13 +85,35 @@ _Candidate = tuple[tuple, MorseWord, Optional[tuple]]  # (key, word, trail)
 
 
 def _result(best: _Candidate, visited: int) -> SearchResult:
-    key, word, trail = best
+    """The result, its word rebuilt by the validating constructor."""
+    key, patched, trail = best
     moves = []
     while trail is not None:
         trail, move = trail
         moves.append(move)
+    word = MorseWord(patched.events)
+    if (word.counts, word.component_count) != (patched.counts, patched.component_count):
+        raise InvalidMove(f"the patched counts of {word} differ from its simulation")
     report = embedding_report(word) if word.is_knot else None
     return SearchResult(word, report, tuple(reversed(moves)), visited, key)
+
+
+def _child(
+    objective: Objective, parent: _Candidate, move: Move, end: int, events: tuple, rewrite: tuple
+) -> _Candidate:
+    """The candidate of the new position ``events``, made by ``move`` (its
+    window ends at ``end``; ``rewrite`` is its moves._rewrite entry).  The
+    word is patched from the parent's: the counts outside the window and the
+    component count are the parent's.  A flat rewrite keeps every key."""
+    key, word, trail = parent
+    _, local, flat = rewrite
+    if local is None:
+        raise InvalidMove(f"{move} changed the component count or the strands of {word}")
+    counts = word.counts
+    child = MorseWord._patched(
+        events, counts[: move.site] + local + counts[end + 1 :], word.component_count
+    )
+    return (key if flat else objective.key(child), child, (trail, move))
 
 
 def _frontier_search(
@@ -112,21 +134,26 @@ def _frontier_search(
     visited = {canonical_key(start)}
     best: _Candidate = (objective.key(start), start, None)
     frontier = [best]
+    sites, rewrites = {}, {}  # the memos of moves._sites and moves._rewrite
 
     for _ in range(steps):
         candidates: list[_Candidate] = []
-        for _, word, trail in frontier:
-            for move in enumerate_moves(word, max_len - len(word.events)):
+        for parent in frontier:
+            word = parent[1]
+            ev, counts = word.events, word.counts
+            for k, kind, rule, params in _sites(word, max_len - len(ev), sites):
                 # Key first, build only new positions.  Equal keys differ only
                 # by distant crossing swaps, which keep index validity, counts
-                # and component count: the word first seen with a key checked it.
-                events = _splice(word.events, move)
+                # and component count: the word first seen with a key has them.
+                end = k + rule.width
+                rewrite = _rewrite(rewrites, rule, ev[k:end], params, counts[k])
+                events = ev[:k] + rewrite[0] + ev[end:]
                 seen = len(visited)
                 visited.add(canonical_key(events))  # one hash per key
                 if len(visited) == seen:
                     continue
-                new_word = _build(events, word, move)
-                candidates.append((objective.key(new_word), new_word, (trail, move)))
+                move = Move(kind, k, params)
+                candidates.append(_child(objective, parent, move, end, events, rewrite))
                 if len(visited) > node_cap:
                     best = min([best, *candidates], key=itemgetter(0))
                     raise BudgetExceeded(

@@ -98,6 +98,40 @@ def oracle_components(events, start: int = 0):
     the connected pieces; a component with no boundary piece and no piece
     left open at the top is closed, and it closes at its highest cap.
     """
+    counts, bad, slots, components = _piece_walk(events, start)
+    open_ends = set(slots)
+    closed_at = [
+        top_cap
+        for members, top_cap in components
+        if not any(p[0] == "boundary" or p in open_ends for p in members)
+    ]
+    if start > 0:
+        bad += [("MultipleComponents", pos) for pos in closed_at]
+    bad.sort(key=lambda v: v[1])
+    if slots:
+        bad.append(("NonzeroEnd", len(events)))
+    return counts, len(closed_at), bad
+
+
+def oracle_matching(events, start: int = 0) -> list[int]:
+    """How the walk's components join the boundary points of the events read
+    as a tangle: the ``start`` bottom points are 0..start-1, the strands
+    open at the top follow.  Entry j is the point joined to point j."""
+    _, _, slots, components = _piece_walk(events, start)
+    matching = [-1] * (start + len(slots))
+    for members, _ in components:
+        points = [p[1] for p in members if p[0] == "boundary"]
+        points += [start + slots.index(p) for p in members if p in slots]
+        if points:
+            a, b = points  # an arc meets the boundary at its two ends
+            matching[a], matching[b] = b, a
+    return matching
+
+
+def _piece_walk(events, start: int):
+    """The sweep and the walk of ``oracle_components``: (counts, index
+    violations, pieces open at the top, [(members, highest cap)] per
+    connected set of pieces)."""
     slots = [("boundary", j) for j in range(start)]
     pieces = list(slots)
     joins: dict = {piece: [] for piece in pieces}  # piece -> [(piece, cap pos)]
@@ -129,9 +163,8 @@ def oracle_components(events, start: int = 0):
             bad.append(("BadIndex", pos))
         counts.append(len(slots))
 
-    open_ends = set(slots)
     seen: set = set()
-    closed_at = []
+    components = []
     for piece in pieces:
         if piece in seen:
             continue
@@ -145,14 +178,8 @@ def oracle_components(events, start: int = 0):
                 if q not in seen:
                     seen.add(q)
                     stack.append(q)
-        if not any(p[0] == "boundary" or p in open_ends for p in members):
-            closed_at.append(top_cap)
-    if start > 0:
-        bad += [("MultipleComponents", pos) for pos in closed_at]
-    bad.sort(key=lambda v: v[1])
-    if slots:
-        bad.append(("NonzeroEnd", len(events)))
-    return counts, len(closed_at), bad
+        components.append((members, top_cap))
+    return counts, bad, slots, components
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The frontier loop keys a spliced candidate before it builds a word.
 
-A search builds (and fully validates) one ``MorseWord`` per new position
-and none for a duplicate.  Skipping duplicates is sound because words
-sharing a canonical key share their strand counts and component count.
-Events are tuples, so keys hash in C.
+A search patches one ``MorseWord`` from its parent per new position and
+none for a duplicate; the only whole word it simulates is the one it
+returns.  Skipping duplicates is sound because words sharing a canonical
+key share their strand counts and component count.  Events are tuples, so
+keys hash in C.
 """
 
 import dataclasses
@@ -22,32 +23,60 @@ from morsewidth.search import SearchConfig, beam_search, exhaustive_min
 
 
 @pytest.fixture
-def constructions(monkeypatch):
+def simulations(monkeypatch):
+    """Every events passed to ``_simulate``, from words and local checks alike."""
     calls = []
-    original = MorseWord.__init__
+    original = events_mod._simulate
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        original(self, *args, **kwargs)
+    def counting(events, start_count, tangle):
+        calls.append(tuple(events))
+        return original(events, start_count, tangle)
 
-    monkeypatch.setattr(events_mod.MorseWord, "__init__", counting)
+    for module in (events_mod, moves_mod):
+        monkeypatch.setattr(module, "_simulate", counting)
     return calls
 
 
-def test_beam_search_builds_each_new_position_once(constructions):
-    start = pad_with_fingers(catalog("trefoil_plat"), 2)
-    constructions.clear()
-    result = beam_search(start, config=SearchConfig(max_steps=4, random_seed=3))
-    assert result.visited > 1000
-    assert len(constructions) == result.visited - 1
+@pytest.fixture
+def patched(monkeypatch):
+    """Every word a search patches from its parent."""
+    words = []
+    original = MorseWord._patched.__func__
+
+    def counting(cls, *args):
+        words.append(original(cls, *args))
+        return words[-1]
+
+    monkeypatch.setattr(events_mod.MorseWord, "_patched", classmethod(counting))
+    return words
 
 
-def test_exhaustive_min_builds_each_new_position_once(constructions):
+SEARCHES = [
+    lambda start: beam_search(start, config=SearchConfig(max_steps=4, random_seed=3)),
+    lambda start: exhaustive_min(start, radius=3, insertion_budget=1),
+]
+
+
+@pytest.mark.parametrize("search", SEARCHES, ids=["beam", "exhaustive"])
+def test_search_simulates_only_the_word_it_returns(simulations, search):
     start = pad_with_fingers(catalog("trefoil_plat"), 1)
-    constructions.clear()
-    result = exhaustive_min(start, radius=3, insertion_budget=1)
+    simulations.clear()
+    result = search(start)
     assert result.visited > 500
-    assert len(constructions) == result.visited - 1
+    *local, last = simulations
+    assert last == result.best_word.events and len(last) > 3
+    # Every other simulation is a local check: a window or its rewrite,
+    # of at most three events.
+    assert local and all(len(events) <= 3 for events in local)
+
+
+@pytest.mark.parametrize("search", SEARCHES, ids=["beam", "exhaustive"])
+def test_search_patches_each_new_position_once(patched, search):
+    start = pad_with_fingers(catalog("trefoil_plat"), 1)
+    result = search(start)
+    assert result.visited > 500
+    assert len(patched) == result.visited - 1
+    assert len({word.events for word in patched}) == len(patched)
 
 
 def test_component_change_is_refused_inside_a_search(monkeypatch):
