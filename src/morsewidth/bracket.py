@@ -20,6 +20,14 @@ min(2^(crossings below), Catalan(n/2)) of them: the cost follows the
 trunk, and it never exceeds the 2^c state sum.  Words above
 MAX_STATE_SUM_CROSSINGS crossings are still refused outright; the cap is
 kept for API and CLI compatibility, not because of cost.
+
+Each state's polynomial p(A) is one int P = p(B) * B^O with B = 2^b: a
+sum of states is an int add, A^(+-1) a shift by b bits, and delta
+-(P << 2b) - (P >> 2b).  With c crossings and k caps, O = 3c + 2k + 2
+makes every right shift exact: a crossing lowers an exponent by at most 3
+(A^-1 times delta's A^-2), a cap by at most 2.  And b = 2c + k + 2 makes
+every coefficient a signed digit: a crossing's two smoothings weigh at
+most 1 + 2 and a cap at most 2, so none exceeds 3^c * 2^k < 2^(b-1).
 """
 
 from __future__ import annotations
@@ -131,23 +139,6 @@ def _join(key: str, i: int) -> tuple[str, bool]:
     return "".join(s), False
 
 
-def _times_delta(poly: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e, c in poly.items():
-        out[e + 2] = out.get(e + 2, 0) - c
-        out[e - 2] = out.get(e - 2, 0) - c
-    return out
-
-
-def _accumulate(
-    states: dict[str, dict[int, int]], key: str, poly: dict[int, int], shift: int
-) -> None:
-    """states[key] += A^shift * poly."""
-    target = states.setdefault(key, {})
-    for e, c in poly.items():
-        target[e + shift] = target.get(e + shift, 0) + c
-
-
 def kauffman_bracket(word: MorseWord) -> LaurentPoly:
     """Bracket of the closed diagram, exact in A, by one bottom-to-top sweep.
 
@@ -155,7 +146,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
     the level's strands plus closed loops.  The sweep maps each matching
     (a str whose k-th character is chr(partner of strand k)) to the sum
     of A^(#A - #B smoothings) * delta^(closed loops) over the smoothings
-    that give it.
+    that give it, packed into one int as the module docstring says.
     """
     c = word.crossing_count
     if c > MAX_STATE_SUM_CROSSINGS:
@@ -163,11 +154,15 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
             f"{c} crossings exceeds the state-sum cap of "
             f"{MAX_STATE_SUM_CROSSINGS}"
         )
-    states: dict[str, dict[int, int]] = {"": {0: 1}}
+    caps = (len(word.events) - c) // 2  # a closed word has as many cups as caps
+    offset = 3 * c + 2 * caps + 2  # O and b, proved in the module docstring
+    bits = 2 * c + caps + 2
+    a2 = 2 * bits  # A^(+-2) is a shift by a2 bits
+    states: dict[str, int] = {"": 1 << (offset * bits)}
     last = len(word.events) - 1
     for pos, e in enumerate(word.events):
         i, n = e.index - 1, word.counts[pos]
-        nxt: dict[str, dict[int, int]] = {}
+        nxt: dict[str, int] = {}
         if e.kind is EventKind.CUP:
             up = {k: k + 2 for k in range(i, n)}
             for key, poly in states.items():  # one-to-one: nothing is copied
@@ -179,17 +174,28 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
                 key, poly = states.popitem()
                 key, loop = _join(key, i)
                 if loop and pos != last:  # the last loop counts 1, not delta
-                    poly = _times_delta(poly)
-                _accumulate(nxt, (key[:i] + key[i + 2 :]).translate(down), poly, 0)
+                    poly = -(poly << a2) - (poly >> a2)
+                key = (key[:i] + key[i + 2 :]).translate(down)
+                nxt[key] = nxt.get(key, 0) + poly
         else:
             while states:
                 key, poly = states.popitem()
                 # A-smoothing (weight A) of a positive letter is vertical.
-                _accumulate(nxt, key, poly, e.sign)
+                a, a_inv = poly << bits, poly >> bits  # A * poly and A^-1 * poly
+                vertical, poly = (a, a_inv) if e.sign > 0 else (a_inv, a)
+                nxt[key] = nxt.get(key, 0) + vertical
                 key, loop = _join(key, i)
-                _accumulate(nxt, key, _times_delta(poly) if loop else poly, -e.sign)
+                if loop:
+                    poly = -(poly << a2) - (poly >> a2)
+                nxt[key] = nxt.get(key, 0) + poly
         states = nxt
-    return LaurentPoly(states[""])
+    p, exponent, coeffs = states[""], -offset, {}
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    while p:
+        digit = ((p + half) & mask) - half  # the signed digit in [-B/2, B/2)
+        coeffs[exponent] = digit
+        p, exponent = (p - digit) >> bits, exponent + 1
+    return LaurentPoly(coeffs)
 
 
 def writhe(word: MorseWord) -> int:
