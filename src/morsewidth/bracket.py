@@ -21,13 +21,26 @@ trunk, and it never exceeds the 2^c state sum.  Words above
 MAX_STATE_SUM_CROSSINGS crossings are still refused outright; the cap is
 kept for API and CLI compatibility, not because of cost.
 
-Each state's polynomial p(A) is one int P = p(B) * B^O with B = 2^b: a
-sum of states is an int add, A^(+-1) a shift by b bits, and delta
--(P << 2b) - (P >> 2b).  With c crossings and k caps, O = 3c + 2k + 2
-makes every right shift exact: a crossing lowers an exponent by at most 3
-(A^-1 times delta's A^-2), a cap by at most 2.  And b = 2c + k + 2 makes
-every coefficient a signed digit: a crossing's two smoothings weigh at
-most 1 + 2 and a cap at most 2, so none exceeds 3^c * 2^k < 2^(b-1).
+A matching is an int, a Dyck word from strand 0 at the lowest bit: bit k
+is 1 when strand k's partner lies above it.  A cup at i inserts the bits
+1, 0 at i.  `_join` is a horizontal smoothing, a cap on strands i, i+1
+and a cup in its place; a cap is `_join`, then drops bits i and i+1.
+
+A smoothing moves an exponent by +-1 and delta by +-2, so at each level
+every exponent has the parity of the crossings below it: p(A) = A^parity
+* q(A^2), kept as one int P = q(B) * B^O, one digit of B = 2^b per power
+of A^2.  At a crossing one of A * p and A^-1 * p is P itself and the
+other P shifted by one digit; delta is -(P << b) - (P >> b).
+
+Exactness needs only the offset O: int adds and shifts are exact however
+large a digit grows, and a right shift only needs every term at digit 1
+or above.  A crossing moves an exponent by at most 3 (A^-1 times
+delta's A^-2), a cap by at most 2, and the last cap (its loop counts 1)
+by 0.  So with c crossings and k caps every |exponent| <= M = 3c + 2k - 2,
+and O = (M + 1) // 2 keeps every term in digits 0 to 2O.  The width b
+only has to hold the final coefficients as signed digits in [-B/2, B/2).
+A crossing weighs at most 1 + 2, a cap 2 and the last cap 1, so those
+coefficients' absolute values sum to at most 3^c * 2^(k-1) < 2^(b-1).
 """
 
 from __future__ import annotations
@@ -127,16 +140,37 @@ class LaurentPoly:
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-def _join(key: str, i: int) -> tuple[str, bool]:
+def _partner(x: int, k: int) -> int:
+    """Strand k's partner in matching x, by a depth scan away from k."""
+    step = depth = 1 if x >> k & 1 else -1  # 1 opens, 0 closes
+    while depth:
+        k += step
+        depth += 1 if x >> k & 1 else -1
+    return k
+
+
+def _join(x: int, i: int) -> tuple[int, bool]:
     """A cap on strands i, i+1 of a matching, then a cup in its place: the
     strands' partners pair up, and i pairs with i+1.  Returns the new
     matching and whether the cap closed a loop."""
-    a, b = ord(key[i]), ord(key[i + 1])
-    if a == i + 1:
-        return key, True
-    s = list(key)
-    s[a], s[b], s[i], s[i + 1] = key[i + 1], key[i], chr(i + 1), chr(i)
-    return "".join(s), False
+    pair = x >> i & 3  # bit i is the low bit
+    if pair == 1:  # i opens, i+1 closes: they are partners
+        return x, True
+    if pair == 2:  # i closes, i+1 opens: their partners pair up, bits unchanged
+        return x ^ (3 << i), False
+    j = i + 1 if pair == 3 else i  # both open or both close: j and its partner flip
+    return x ^ (1 << j) ^ (1 << _partner(x, j)), False
+
+
+def _cup(x: int, i: int) -> int:
+    """A cup at strand i: the new strands i and i+1 are partners."""
+    return (x >> i << (i + 2)) | (1 << i) | (x & ((1 << i) - 1))
+
+
+def _cap(x: int, i: int) -> tuple[int, bool]:
+    """A cap on strands i, i+1: (the matching without them, loop closed)."""
+    x, loop = _join(x, i)
+    return (x >> (i + 2) << i) | (x & ((1 << i) - 1)), loop
 
 
 def kauffman_bracket(word: MorseWord) -> LaurentPoly:
@@ -144,7 +178,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
 
     Below each level the smoothed diagram is a crossingless matching of
     the level's strands plus closed loops.  The sweep maps each matching
-    (a str whose k-th character is chr(partner of strand k)) to the sum
+    (an int, bit k set when strand k's partner lies above it) to the sum
     of A^(#A - #B smoothings) * delta^(closed loops) over the smoothings
     that give it, packed into one int as the module docstring says.
     """
@@ -154,47 +188,46 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
             f"{c} crossings exceeds the state-sum cap of "
             f"{MAX_STATE_SUM_CROSSINGS}"
         )
-    caps = (len(word.events) - c) // 2  # a closed word has as many cups as caps
-    offset = 3 * c + 2 * caps + 2  # O and b, proved in the module docstring
-    bits = 2 * c + caps + 2
-    a2 = 2 * bits  # A^(+-2) is a shift by a2 bits
-    states: dict[str, int] = {"": 1 << (offset * bits)}
+    loops = (len(word.events) - c) // 2 - 1  # caps before the last one
+    offset = (3 * c + 2 * loops + 1) // 2  # O and b, proved in the module docstring
+    bits = (3**c << loops).bit_length() + 1
+    states: dict[int, int] = {0: 1 << (offset * bits)}
+    odd = False  # whether the states' exponents are odd
     last = len(word.events) - 1
     for pos, e in enumerate(word.events):
-        i, n = e.index - 1, word.counts[pos]
-        nxt: dict[str, int] = {}
+        i = e.index - 1
+        nxt: dict[int, int] = {}
         if e.kind is EventKind.CUP:
-            up = {k: k + 2 for k in range(i, n)}
-            for key, poly in states.items():  # one-to-one: nothing is copied
-                key = key.translate(up)
-                nxt[key[:i] + chr(i + 1) + chr(i) + key[i:]] = poly
+            for x, poly in states.items():  # one-to-one: nothing is copied
+                nxt[_cup(x, i)] = poly
         elif e.kind is EventKind.CAP:
-            down = {k: k - 2 for k in range(i + 2, n)}
             while states:  # popping frees each old state once it is used
-                key, poly = states.popitem()
-                key, loop = _join(key, i)
+                x, poly = states.popitem()
+                x, loop = _cap(x, i)
                 if loop and pos != last:  # the last loop counts 1, not delta
-                    poly = -(poly << a2) - (poly >> a2)
-                key = (key[:i] + key[i + 2 :]).translate(down)
-                nxt[key] = nxt.get(key, 0) + poly
+                    poly = -(poly << bits) - (poly >> bits)
+                nxt[x] = nxt.get(x, 0) + poly
         else:
+            # Even: A * p is P, A^-1 * p a digit down.  Odd: A^-1 * p is P,
+            # A * p a digit up.  A positive letter's A-smoothing is vertical.
+            vertical_moves = (e.sign > 0) == odd
             while states:
-                key, poly = states.popitem()
-                # A-smoothing (weight A) of a positive letter is vertical.
-                a, a_inv = poly << bits, poly >> bits  # A * poly and A^-1 * poly
-                vertical, poly = (a, a_inv) if e.sign > 0 else (a_inv, a)
-                nxt[key] = nxt.get(key, 0) + vertical
-                key, loop = _join(key, i)
+                x, poly = states.popitem()
+                moved = poly << bits if odd else poly >> bits
+                vertical, poly = (moved, poly) if vertical_moves else (poly, moved)
+                nxt[x] = nxt.get(x, 0) + vertical
+                x, loop = _join(x, i)
                 if loop:
-                    poly = -(poly << a2) - (poly >> a2)
-                nxt[key] = nxt.get(key, 0) + poly
+                    poly = -(poly << bits) - (poly >> bits)
+                nxt[x] = nxt.get(x, 0) + poly
+            odd = not odd
         states = nxt
-    p, exponent, coeffs = states[""], -offset, {}
+    p, coeffs = states[0], {}
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    while p:
+    for exponent in range(odd - 2 * offset, 2 * offset + 2, 2):  # digits 0 to 2O
         digit = ((p + half) & mask) - half  # the signed digit in [-B/2, B/2)
         coeffs[exponent] = digit
-        p, exponent = (p - digit) >> bits, exponent + 1
+        p = (p - digit) >> bits
     return LaurentPoly(coeffs)
 
 

@@ -310,3 +310,50 @@ def oracle_jones(word: MorseWord) -> dict:
     w = oracle_writhe(word)
     norm = {-3 * w: 1 if w % 2 == 0 else -1}  # (-A^3)^(-w)
     return pmul(norm, oracle_bracket(word))
+
+
+# ---------------------------------------------------------------------------
+# Crossingless matchings as partner arrays: entry k is strand k's partner.
+
+
+def oracle_matchings(n: int) -> list[list[int]]:
+    """Every crossingless matching of n strands: strand 0 pairs with some
+    strand j that leaves an even number of strands on each side."""
+    if n == 0:
+        return [[]]
+    out = []
+    for j in range(1, n, 2):
+        for inner in oracle_matchings(j - 1):
+            for outer in oracle_matchings(n - j - 1):
+                m = [j] + [k + 1 for k in inner] + [0] + [k + j + 1 for k in outer]
+                out.append(m)
+    return out
+
+
+def oracle_cup(partner: list[int], i: int) -> list[int]:
+    """A new pair of strands at i, i+1; the strands from i on move up two."""
+    moved = [k + 2 if k >= i else k for k in partner]
+    return moved[:i] + [i + 1, i] + moved[i:]
+
+
+def oracle_join(partner: list[int], i: int) -> tuple[list[int], bool]:
+    """Cap strands i and i+1, then cup them again: (matching, loop closed)."""
+    a, b = partner[i], partner[i + 1]
+    if a == i + 1:
+        return list(partner), True
+    out = list(partner)
+    out[a], out[b] = b, a
+    out[i], out[i + 1] = i + 1, i
+    return out, False
+
+
+def oracle_cap(partner: list[int], i: int) -> tuple[list[int], bool]:
+    """Cap strands i and i+1: (matching of the other strands, loop closed)."""
+    joined, loop = oracle_join(partner, i)
+    rest = joined[:i] + joined[i + 2 :]
+    return [k - 2 if k > i else k for k in rest], loop
+
+
+def oracle_dyck(partner: list[int]) -> int:
+    """The int whose bit k is 1 when strand k's partner lies above it."""
+    return sum(1 << k for k, p in enumerate(partner) if p > k)
