@@ -28,7 +28,9 @@ and WRITHE_CHANGING all derive from the table, with no per-kind code.
 
 ``apply_move`` simulates and checks every word it makes.  A search instead
 memoizes the moves of a site (``_sites``) and each rewrite with the local
-check that lets it patch a new word from its parent (``_rewrite``).
+check that lets it patch a new word from its parent (``_rewrite``).  Both
+memos are module dicts that every search shares, one per rule table and
+not per search: they are keyed by the rules and rewrites themselves.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidMove
 from .events import EventKind, MorseEvent, MorseWord, _simulate, cap, cross, cup
@@ -64,8 +66,11 @@ class MoveKind(Enum):
 _KIND_ORDER = {k: n for n, k in enumerate(MoveKind)}
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
+    """A move: its kind, site and parameters.  A tuple, half the cost of a
+    frozen dataclass to make; the kind is a field, so two moves are equal
+    only when their kinds are."""
+
     kind: MoveKind
     site: int
     params: tuple = ()
@@ -189,7 +194,9 @@ def _cap_absorb_params(window: _Window, strands_below: int) -> list[tuple]:
     return [()] if kinds_match and e2.index == e1.index else []
 
 
-@dataclass(frozen=True)
+# eq=False: a rule hashes and compares by identity, so the _sites memo can
+# be keyed by the rules themselves; a rule replaced in _RULES is a new key.
+@dataclass(frozen=True, eq=False)
 class _Rule:
     width: int  # events replaced at the site
     length_delta: int  # net change in event count, used for insertion budgets
@@ -219,20 +226,27 @@ LENGTH_DELTA = {kind: rule.length_delta for kind, rule in _RULES.items()}
 WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe_changing)
 
 
+# The memos of _sites and _rewrite that every search shares.  Their keys
+# hold the rules and rewrites that filled them, so a rule replaced in
+# _RULES misses and is seen by the next search.
+_SITE_MEMO: dict = {}
+_REWRITE_MEMO: dict = {}
+
+
 def _sites(word: MorseWord, max_delta: int | None, memo: dict) -> Iterator[tuple]:
     """(site, kind, rule, params) of each move of ``enumerate_moves``.  A
-    site's moves of the kinds within ``max_delta`` depend only on the events
+    site's moves of the rules within ``max_delta`` depend only on the events
     from it, as far as the widest window reaches, and the strand count below
-    it: ``memo`` maps those kinds, then that pair, to the site's (kind, rule,
-    params list) entries."""
+    it: ``memo`` maps those (kind, rule) pairs, then that pair, to the site's
+    (kind, rule, params list) entries."""
     ev, counts = word.events, word.counts
-    rules = [
+    rules = tuple(
         (kind, rule)
         for kind, rule in _RULES.items()
         if max_delta is None or rule.length_delta <= max_delta
-    ]
+    )
     reach = max((rule.width for _, rule in rules), default=0)
-    known = memo.setdefault(tuple(kind for kind, _ in rules), {})
+    known = memo.setdefault(rules, {})
     for k in range(len(ev) + 1):
         site = (ev[k : k + reach], counts[k])
         entries = known.get(site)
@@ -312,23 +326,31 @@ def inverse_move(word: MorseWord, move: Move) -> Move:
 
 def canonical_key(events: Sequence[MorseEvent]) -> tuple[MorseEvent, ...]:
     """Normal form of a word or any event sequence, for visited sets:
-    within each maximal run of consecutive crossings, greedily bubble
-    distant crossings into lowest-index-first order.  Crossing commutation
-    never reindexes, so this is the unique lexicographic normal form of
-    the run; two words equal up to it always share a key.
-    Crossings are never pulled past cups or caps: that rewriting is
+    within each maximal run of consecutive crossings, a crossing sinks
+    below any crossing more than one index above it.  The swaps never
+    reindex and are confluent (in c < b - 1 < a - 3, a and c commute too),
+    so this is the unique lexicographic normal form of the run; two words
+    equal up to it share a key.  One scan returns the events as they are
+    when no adjacent pair is out of order, else one insertion pass sorts
+    them.  Crossings are never pulled past cups or caps: that rewriting is
     order-sensitive and would make the key depend on bubbling history."""
-    ev = list(events)
+    ev = tuple(events)
     cross = EventKind.CROSS
-    changed = len(ev) > 1
-    while changed:
-        changed = False
-        a = ev[0]  # the event at k - 1
-        for k in range(1, len(ev)):
-            b = ev[k]
-            if a.kind is cross and b.kind is cross and b.index < a.index - 1:
-                ev[k - 1], ev[k] = b, a
-                changed = True
-            else:
-                a = b
-    return tuple(ev)
+    limit = 0  # a crossing of lower index than this is out of order
+    for e in ev:
+        if e[0] is cross:
+            if e[1] < limit:
+                break
+            limit = e[1] - 1
+        else:
+            limit = 0
+    else:
+        return ev
+    out = list(ev)
+    for j, b in enumerate(ev):
+        if b[0] is cross:
+            while j and (a := out[j - 1])[0] is cross and b[1] < a[1] - 1:
+                out[j] = a
+                j -= 1
+            out[j] = b
+    return tuple(out)

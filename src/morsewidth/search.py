@@ -15,6 +15,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
+from . import moves as _moves
 from .bracket import jones_normalized
 from .errors import BracketMismatch, BudgetExceeded, InvalidMove
 from .events import MorseWord, require_knot
@@ -34,6 +35,9 @@ class ObjectiveKind(Enum):
     CRITICAL_COUNT = "critical"
     OTP_LEX = "otp"
     TRUNK_ONLY = "trunk"
+    HEIGHT = "height"
+
+    __hash__ = object.__hash__  # singletons: identity hash, as for EventKind
 
 
 # Every key but the critical count is read off the word's gap profile.
@@ -42,6 +46,18 @@ _PROFILE_KEYS: dict[ObjectiveKind, Callable[[LevelProfile], tuple]] = {
     # Thick-width vectors compare lexicographically; total width breaks ties.
     ObjectiveKind.OTP_LEX: lambda p: (p.otp_vector, p.width),
     ObjectiveKind.TRUNK_ONLY: lambda p: (p.trunk,),
+    # Among the thinnest positions, the one with the fewest thick levels.
+    ObjectiveKind.HEIGHT: lambda p: (p.width, p.height),
+}
+
+
+# Keys that sum over the steps of the strand counts (the cups and caps), so
+# a rewrite changes them by its part less its window's.
+_WINDOW_KEYS: dict[ObjectiveKind, Callable[[Sequence[int]], int]] = {
+    # The width: the strand count below each step.
+    ObjectiveKind.GABAI_WIDTH: lambda cs: sum(c for c, d in zip(cs, cs[1:]) if c != d),
+    # The critical count: the number of steps.
+    ObjectiveKind.CRITICAL_COUNT: lambda cs: sum(c != d for c, d in zip(cs, cs[1:])),
 }
 
 
@@ -104,16 +120,23 @@ def _child(
     """The candidate of the new position ``events``, made by ``move`` (its
     window ends at ``end``; ``rewrite`` is its moves._rewrite entry).  The
     word is patched from the parent's: the counts outside the window and the
-    component count are the parent's.  A flat rewrite keeps every key."""
+    component count are the parent's.  A flat rewrite keeps every key; a
+    window key changes by the rewrite's part less the window's."""
     key, word, trail = parent
     _, local, flat = rewrite
     if local is None:
         raise InvalidMove(f"{move} changed the component count or the strands of {word}")
-    counts = word.counts
+    counts, site = word.counts, move.site
     child = MorseWord._patched(
-        events, counts[: move.site] + local + counts[end + 1 :], word.component_count
+        events, counts[:site] + local + counts[end + 1 :], word.component_count
     )
-    return (key if flat else objective.key(child), child, (trail, move))
+    if not flat:
+        part = _WINDOW_KEYS.get(objective.kind)
+        if part is None:
+            key = objective.key(child)
+        else:
+            key = (key[0] + part(local) - part(counts[site : end + 1]),)
+    return (key, child, (trail, move))
 
 
 def _frontier_search(
@@ -134,7 +157,7 @@ def _frontier_search(
     visited = {canonical_key(start)}
     best: _Candidate = (objective.key(start), start, None)
     frontier = [best]
-    sites, rewrites = {}, {}  # the memos of moves._sites and moves._rewrite
+    sites, rewrites = _moves._SITE_MEMO, _moves._REWRITE_MEMO  # shared by every search
 
     for _ in range(steps):
         candidates: list[_Candidate] = []

@@ -357,3 +357,23 @@ def oracle_cap(partner: list[int], i: int) -> tuple[list[int], bool]:
 def oracle_dyck(partner: list[int]) -> int:
     """The int whose bit k is 1 when strand k's partner lies above it."""
     return sum(1 << k for k, p in enumerate(partner) if p > k)
+
+
+# ---------------------------------------------------------------------------
+# Canonical key by repeated bubble passes.
+
+
+def oracle_canonical_key(events) -> tuple:
+    """Within each run of consecutive crossings, swap an adjacent pair
+    whenever the upper crossing's index is more than one below the lower
+    one's, pass after pass, until a pass swaps nothing."""
+    ev = list(events)
+    changed = len(ev) > 1
+    while changed:
+        changed = False
+        for k in range(1, len(ev)):
+            a, b = ev[k - 1], ev[k]
+            if a.kind is b.kind is EventKind.CROSS and b.index < a.index - 1:
+                ev[k - 1], ev[k] = b, a
+                changed = True
+    return tuple(ev)

@@ -10,7 +10,7 @@ import sys
 import morsewidth
 import morsewidth.cli as cli_mod
 from morsewidth.catalog import catalog
-from morsewidth.invariants import trunk
+from morsewidth.invariants import height, trunk, width
 
 
 def test_two_calls_build_one_parser(monkeypatch, capsys):
@@ -52,3 +52,11 @@ def test_trunk_objective(capsys):
     assert cli_mod.main(argv) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["best"]["report"]["trunk"] <= trunk(catalog("padded_trefoil"))
+
+
+def test_height_objective(capsys):
+    argv = ["optimize", "catalog:padded_trefoil", "--objective", "height", "--steps", "4"]
+    assert cli_mod.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)["best"]["report"]
+    start = catalog("padded_trefoil")
+    assert (report["width"], report["height"]) <= (width(start), height(start))

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_closed_word
 from morsewidth.events import EventKind
 from morsewidth.moves import LENGTH_DELTA, MoveKind, _zigzag_insert_params, enumerate_moves
+from morsewidth.search import ObjectiveKind
 
 
 @pytest.mark.parametrize("strands_below", range(21))
@@ -28,7 +29,7 @@ def test_budget_drops_exactly_the_kinds_over_it(max_delta):
     assert enumerate_moves(word, max_delta=None) == every
 
 
-@pytest.mark.parametrize("enum", [EventKind, MoveKind])
+@pytest.mark.parametrize("enum", [EventKind, MoveKind, ObjectiveKind])
 def test_enum_members_hash_by_identity(enum):
     members = list(enum)
     for a in members:

@@ -24,7 +24,8 @@ from morsewidth.search import SearchConfig, beam_search, exhaustive_min
 
 @pytest.fixture
 def simulations(monkeypatch):
-    """Every events passed to ``_simulate``, from words and local checks alike."""
+    """Every events passed to ``_simulate``, from words and local checks
+    alike, with the shared move memos swapped for empty ones."""
     calls = []
     original = events_mod._simulate
 
@@ -34,6 +35,8 @@ def simulations(monkeypatch):
 
     for module in (events_mod, moves_mod):
         monkeypatch.setattr(module, "_simulate", counting)
+    monkeypatch.setattr(moves_mod, "_SITE_MEMO", {})
+    monkeypatch.setattr(moves_mod, "_REWRITE_MEMO", {})
     return calls
 
 
