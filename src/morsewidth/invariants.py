@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .errors import ValidationError, Violation
 from .events import MorseWord, TangleWord, require_knot
@@ -131,8 +132,20 @@ def bridge_count(word: MorseWord) -> int:
     return level_profile(word).bridge
 
 
+def count_width(counts: Sequence[int]) -> int:
+    """The strand count below each step of ``counts`` (each cup or cap),
+    summed: the Gabai width of a closed word's counts, and a tangle's share
+    of the width of any word it sits in."""
+    return sum(c for c, d in zip(counts, counts[1:]) if c != d)
+
+
+def count_steps(counts: Sequence[int]) -> int:
+    """The number of steps of ``counts``: the cups and caps."""
+    return sum(c != d for c, d in zip(counts, counts[1:]))
+
+
 def critical_count(word: MorseWord) -> int:
-    return sum(1 for e in word.events if e.is_critical)
+    return count_steps(word.counts)
 
 
 def otp_vector(word: MorseWord) -> tuple[int, ...]:

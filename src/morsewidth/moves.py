@@ -30,7 +30,8 @@ and WRITHE_CHANGING all derive from the table, with no per-kind code.
 memoizes the moves of a site (``_sites``) and each rewrite with the local
 check that lets it patch a new word from its parent (``_rewrite``).  Both
 memos are module dicts that every search shares, one per rule table and
-not per search: they are keyed by the rules and rewrites themselves.
+not per search: they are keyed by the rules and rewrites themselves, and
+emptied when a search starts with more than ``_MEMO_CAP`` entries.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -47,6 +48,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidMove
 from .events import EventKind, MorseEvent, MorseWord, _simulate, cap, cross, cup
+from .invariants import count_steps, count_width
 
 
 class MoveKind(Enum):
@@ -232,6 +234,20 @@ WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe
 _SITE_MEMO: dict = {}
 _REWRITE_MEMO: dict = {}
 
+# Entries the memos may hold when a search starts, about 11 MiB at some 700
+# bytes an entry: the windows of 1,824 random-knot searches fill 2,517.
+_MEMO_CAP = 1 << 14
+
+
+def _shared_memos() -> tuple[dict, dict]:
+    """The site and rewrite memos, emptied first if they hold more than
+    _MEMO_CAP entries: they then never hold more than that plus what one
+    search adds, which a memo of that search alone would hold too."""
+    if len(_REWRITE_MEMO) + sum(map(len, _SITE_MEMO.values())) > _MEMO_CAP:
+        _SITE_MEMO.clear()
+        _REWRITE_MEMO.clear()
+    return _SITE_MEMO, _REWRITE_MEMO
+
 
 def _sites(word: MorseWord, max_delta: int | None, memo: dict) -> Iterator[tuple]:
     """(site, kind, rule, params) of each move of ``enumerate_moves``.  A
@@ -286,12 +302,14 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
 
 
 def _rewrite(memo: dict, rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
-    """(rewrite events, local counts, flat) of a move on ``window`` with
-    ``n0`` strands below it, once per ``memo``.  The local check traces both
-    as tangles on n0 strands: the rewrite needs valid indices and the
-    window's top count, boundary matching and closed loops, which keeps the
-    component count in any word.  The local counts (None if it fails) are the
-    rewrite's from n0 up; flat means equal collapsed counts, so equal levels."""
+    """(rewrite events, local counts, flat, width change, critical change) of
+    a move on ``window`` with ``n0`` strands below it, once per ``memo``.
+    The local check traces both as tangles on n0 strands: the rewrite needs
+    valid indices and the window's top count, boundary matching and closed
+    loops, which keeps the component count in any word.  The local counts
+    (None if it fails) are the rewrite's from n0 up; flat means equal
+    collapsed counts, so equal levels.  The changes are those of the Gabai
+    width and the critical count of any word the move applies to."""
     key = (rule.rewrite, window, params, n0)
     entry = memo.get(key)
     if entry is None:
@@ -301,9 +319,15 @@ def _rewrite(memo: dict, rule: _Rule, window: _Window, params: tuple, n0: int) -
         shape = (after.counts[-1], after.matching, after.closed_components)
         if valid and shape == (before.counts[-1], before.matching, before.closed_components):
             levels = [[c for c, _ in groupby(t.counts)] for t in (before, after)]
-            entry = (new, after.counts, levels[0] == levels[1])
+            entry = (
+                new,
+                after.counts,
+                levels[0] == levels[1],
+                count_width(after.counts) - count_width(before.counts),
+                count_steps(after.counts) - count_steps(before.counts),
+            )
         else:
-            entry = (new, None, False)
+            entry = (new, None, False, 0, 0)
         memo[key] = entry
     return entry
 

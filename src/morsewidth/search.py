@@ -15,7 +15,6 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from . import moves as _moves
 from .bracket import jones_normalized
 from .errors import BracketMismatch, BudgetExceeded, InvalidMove
 from .events import MorseWord, require_knot
@@ -27,7 +26,7 @@ from .invariants import (
     embedding_report,
     level_profile,
 )
-from .moves import Move, _rewrite, _sites, canonical_key
+from .moves import Move, _rewrite, _shared_memos, _sites, canonical_key
 
 
 class ObjectiveKind(Enum):
@@ -52,13 +51,8 @@ _PROFILE_KEYS: dict[ObjectiveKind, Callable[[LevelProfile], tuple]] = {
 
 
 # Keys that sum over the steps of the strand counts (the cups and caps), so
-# a rewrite changes them by its part less its window's.
-_WINDOW_KEYS: dict[ObjectiveKind, Callable[[Sequence[int]], int]] = {
-    # The width: the strand count below each step.
-    ObjectiveKind.GABAI_WIDTH: lambda cs: sum(c for c, d in zip(cs, cs[1:]) if c != d),
-    # The critical count: the number of steps.
-    ObjectiveKind.CRITICAL_COUNT: lambda cs: sum(c != d for c, d in zip(cs, cs[1:])),
-}
+# a rewrite changes them by its change, a field of its moves._rewrite entry.
+_DELTA_FIELDS = {ObjectiveKind.GABAI_WIDTH: 3, ObjectiveKind.CRITICAL_COUNT: 4}
 
 
 @dataclass(frozen=True)
@@ -120,22 +114,19 @@ def _child(
     """The candidate of the new position ``events``, made by ``move`` (its
     window ends at ``end``; ``rewrite`` is its moves._rewrite entry).  The
     word is patched from the parent's: the counts outside the window and the
-    component count are the parent's.  A flat rewrite keeps every key; a
-    window key changes by the rewrite's part less the window's."""
+    component count are the parent's.  A flat rewrite keeps every key; the
+    width and critical-count keys change by the rewrite's change."""
     key, word, trail = parent
-    _, local, flat = rewrite
+    local, flat = rewrite[1], rewrite[2]
     if local is None:
         raise InvalidMove(f"{move} changed the component count or the strands of {word}")
-    counts, site = word.counts, move.site
+    counts = word.counts
     child = MorseWord._patched(
-        events, counts[:site] + local + counts[end + 1 :], word.component_count
+        events, counts[: move.site] + local + counts[end + 1 :], word.component_count
     )
     if not flat:
-        part = _WINDOW_KEYS.get(objective.kind)
-        if part is None:
-            key = objective.key(child)
-        else:
-            key = (key[0] + part(local) - part(counts[site : end + 1]),)
+        field = _DELTA_FIELDS.get(objective.kind)
+        key = objective.key(child) if field is None else (key[0] + rewrite[field],)
     return (key, child, (trail, move))
 
 
@@ -157,7 +148,7 @@ def _frontier_search(
     visited = {canonical_key(start)}
     best: _Candidate = (objective.key(start), start, None)
     frontier = [best]
-    sites, rewrites = _moves._SITE_MEMO, _moves._REWRITE_MEMO  # shared by every search
+    sites, rewrites = _shared_memos()
 
     for _ in range(steps):
         candidates: list[_Candidate] = []

@@ -1,12 +1,13 @@
 """A search patches each new position from its parent instead of
-simulating it, and two per-search memos feed it: the moves valid at a site
-and the checked rewrite of a window.
+simulating it, and two memos feed it: the moves valid at a site and the
+checked rewrite of a window.
 
 Every patched word must equal the validating constructor's word (counts,
 component count and objective key), the boundary matching that licenses
 a patch must agree with the independent component walk of
-``tests/oracles.py``, a rewrite that breaks locality must be refused, and
-a memo must never outlive the rule table it was filled from.
+``tests/oracles.py``, and a rewrite that breaks locality must be refused.
+The memos are keyed by the rules and rewrites that filled them, so a rule
+replaced in the table is a new key and the next search sees it.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from conftest import random_closed_word, random_knot_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import MorseWord, _simulate, cap, cross, cup
+from morsewidth.invariants import level_profile
 from morsewidth.moves import Move, MoveKind, apply_move, enumerate_moves
 from morsewidth.search import Objective, ObjectiveKind, SearchConfig, beam_search, exhaustive_min
 from oracles import oracle_components, oracle_matching
@@ -121,12 +123,16 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
         for k, kind, rule, params in moves_mod._sites(word, None, {}):
             end = k + rule.width
             window = word.events[k:end]
-            new, local, flat = moves_mod._rewrite(memo, rule, window, params, word.counts[k])
+            entry = moves_mod._rewrite(memo, rule, window, params, word.counts[k])
+            new, local, flat, width_change, critical_change = entry
             assert local is not None, (str(word), kind, k, params)
             out = apply_move(word, Move(kind, k, params))
             assert out.counts == word.counts[:k] + local + word.counts[end + 1 :]
             levels = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
             assert flat is (levels == [c for c, d in zip(word.counts, word.counts[1:]) if c != d])
+            assert width_change == level_profile(out).width - level_profile(word).width
+            critical = [sum(e.is_critical for e in w.events) for w in (word, out)]
+            assert critical_change == critical[1] - critical[0]
 
 
 # Rewrites that break locality, each swapped into one rule's table entry.

@@ -2,7 +2,8 @@
 
 The moves of a site and the checked rewrite of a window are facts of the
 rule table, so one memo per table serves every search: a second identical
-search makes no local check at all.  The width and critical-count keys of
+search makes no local check at all.  A search that finds the memos over
+their cap empties them first.  The width and critical-count keys of
 a new position are its parent's key plus the window's change, so a width
 search builds no level profile for its candidates.  ``canonical_key``
 scans once and sorts only the sequences that need it; it must equal the
@@ -63,6 +64,29 @@ def test_a_second_identical_search_makes_no_local_check(cold_memos, local_checks
     assert second.best_word == first.best_word
     assert second.trace == first.trace
     assert second.visited == first.visited > 500
+
+
+def memo_entries() -> int:
+    return len(moves_mod._REWRITE_MEMO) + sum(map(len, moves_mod._SITE_MEMO.values()))
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_a_search_empties_memos_over_their_cap(cold_memos, local_checks, monkeypatch, over):
+    search = SEARCHES[1]
+    start = pad_with_fingers(catalog("trefoil_plat"), 1)
+    first = search(start)
+    checks, held = len(local_checks), memo_entries()
+    monkeypatch.setattr(moves_mod, "_MEMO_CAP", held - over)
+    local_checks.clear()
+    second = search(start)
+    # Over the cap the search starts from empty memos and fills them again.
+    assert len(local_checks) == (checks if over else 0)
+    assert memo_entries() == held
+    assert (second.best_word, second.trace, second.visited) == (
+        first.best_word,
+        first.trace,
+        first.visited,
+    )
 
 
 def test_memo_keys_hold_the_rules_themselves(cold_memos):
