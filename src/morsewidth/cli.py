@@ -153,7 +153,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    word = _load(args.source)
+    word = _load_closed(args.source)
     sys.stdout.write(render_profile(word, fmt=args.format))
     return 0
 

@@ -243,14 +243,6 @@ class MorseWord(_Word):
     def __init__(self, events: Iterable[MorseEvent]):
         self._store(events, 0)
 
-    @classmethod
-    def _patched(cls, events: tuple, counts: tuple, component_count: int) -> MorseWord:
-        """A word whose counts and component count its caller derived and
-        checked (a search patches them from the parent word): no simulation."""
-        word = cls.__new__(cls)
-        word.events, word.counts, word.component_count = events, counts, component_count
-        return word
-
     @property
     def is_knot(self) -> bool:
         return self.component_count == 1

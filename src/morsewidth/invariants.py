@@ -109,11 +109,14 @@ class LevelProfile:
         return Fraction(sum(self.thick_widths), self.height)
 
 
+def levels(counts: Sequence[int]) -> tuple[int, ...]:
+    """Each run of equal strand counts once, bottom to top: a crossing
+    repeats the count below it."""
+    return tuple([c for c, d in zip(counts, counts[1:]) if c != d]) + tuple(counts[-1:])
+
+
 def level_profile(word: MorseWord) -> LevelProfile:
-    """The levels, read off the strand counts alone: a count equal to the
-    next one is dropped (a crossing repeats it), and the final 0 is kept."""
-    counts = word.counts
-    return LevelProfile(tuple([c for c, d in zip(counts, counts[1:]) if c != d]) + (0,))
+    return LevelProfile(levels(word.counts))
 
 
 def width(word: MorseWord) -> int:
@@ -132,20 +135,8 @@ def bridge_count(word: MorseWord) -> int:
     return level_profile(word).bridge
 
 
-def count_width(counts: Sequence[int]) -> int:
-    """The strand count below each step of ``counts`` (each cup or cap),
-    summed: the Gabai width of a closed word's counts, and a tangle's share
-    of the width of any word it sits in."""
-    return sum(c for c, d in zip(counts, counts[1:]) if c != d)
-
-
-def count_steps(counts: Sequence[int]) -> int:
-    """The number of steps of ``counts``: the cups and caps."""
-    return sum(c != d for c, d in zip(counts, counts[1:]))
-
-
 def critical_count(word: MorseWord) -> int:
-    return count_steps(word.counts)
+    return len(levels(word.counts)) - 1
 
 
 def otp_vector(word: MorseWord) -> tuple[int, ...]:

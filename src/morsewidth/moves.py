@@ -28,7 +28,7 @@ and WRITHE_CHANGING all derive from the table, with no per-kind code.
 
 ``apply_move`` simulates and checks every word it makes.  A search instead
 memoizes the moves of a site (``_sites``) and each rewrite with the local
-check that lets it patch a new word from its parent (``_rewrite``).  Both
+check that lets it patch a position from its parent (``_rewrite``).  Both
 memos are module dicts that every search shares, one per rule table and
 not per search: they are keyed by the rules and rewrites themselves, and
 emptied when a search starts with more than ``_MEMO_CAP`` entries.
@@ -43,12 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidMove
 from .events import EventKind, MorseEvent, MorseWord, _simulate, cap, cross, cup
-from .invariants import count_steps, count_width
+from .invariants import levels
 
 
 class MoveKind(Enum):
@@ -249,13 +248,12 @@ def _shared_memos() -> tuple[dict, dict]:
     return _SITE_MEMO, _REWRITE_MEMO
 
 
-def _sites(word: MorseWord, max_delta: int | None, memo: dict) -> Iterator[tuple]:
-    """(site, kind, rule, params) of each move of ``enumerate_moves``.  A
-    site's moves of the rules within ``max_delta`` depend only on the events
-    from it, as far as the widest window reaches, and the strand count below
-    it: ``memo`` maps those (kind, rule) pairs, then that pair, to the site's
-    (kind, rule, params list) entries."""
-    ev, counts = word.events, word.counts
+def _sites(ev: tuple, counts: tuple, max_delta: int | None, memo: dict) -> Iterator[tuple]:
+    """(site, kind, rule, params) of each move of ``enumerate_moves`` on the
+    events ``ev`` with strand counts ``counts``.  A site's moves of the rules
+    within ``max_delta`` depend only on the events from it, as far as the
+    widest window reaches, and the count below it: ``memo`` maps those (kind,
+    rule) pairs, then that pair, to the site's (kind, rule, params) entries."""
     rules = tuple(
         (kind, rule)
         for kind, rule in _RULES.items()
@@ -282,7 +280,8 @@ def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]
     """All valid moves, in deterministic order (site, then kind, then
     parameters).  ``max_delta`` leaves out the kinds whose length delta
     exceeds it, as a length budget would; None keeps every kind."""
-    return [Move(kind, k, params) for k, kind, _, params in _sites(word, max_delta, {})]
+    found = _sites(word.events, word.counts, max_delta, {})
+    return [Move(kind, k, params) for k, kind, _, params in found]
 
 
 def apply_move(word: MorseWord, move: Move) -> MorseWord:
@@ -308,8 +307,9 @@ def _rewrite(memo: dict, rule: _Rule, window: _Window, params: tuple, n0: int) -
     valid indices and the window's top count, boundary matching and closed
     loops, which keeps the component count in any word.  The local counts
     (None if it fails) are the rewrite's from n0 up; flat means equal
-    collapsed counts, so equal levels.  The changes are those of the Gabai
-    width and the critical count of any word the move applies to."""
+    levels.  Both levels end at the same top count, so the Gabai width of
+    any word the move applies to changes by the difference of their sums and
+    its critical count by the difference of their lengths."""
     key = (rule.rewrite, window, params, n0)
     entry = memo.get(key)
     if entry is None:
@@ -318,14 +318,8 @@ def _rewrite(memo: dict, rule: _Rule, window: _Window, params: tuple, n0: int) -
         valid = all(v.code == "NonzeroEnd" for v in after.violations)
         shape = (after.counts[-1], after.matching, after.closed_components)
         if valid and shape == (before.counts[-1], before.matching, before.closed_components):
-            levels = [[c for c, _ in groupby(t.counts)] for t in (before, after)]
-            entry = (
-                new,
-                after.counts,
-                levels[0] == levels[1],
-                count_width(after.counts) - count_width(before.counts),
-                count_steps(after.counts) - count_steps(before.counts),
-            )
+            old, now = levels(before.counts), levels(after.counts)
+            entry = (new, after.counts, old == now, sum(now) - sum(old), len(now) - len(old))
         else:
             entry = (new, None, False, 0, 0)
         memo[key] = entry

@@ -25,6 +25,7 @@ from .invariants import (
     critical_count,
     embedding_report,
     level_profile,
+    levels,
 )
 from .moves import Move, _rewrite, _shared_memos, _sites, canonical_key
 
@@ -75,6 +76,10 @@ class SearchConfig:
     insertion_budget: int = 2
     random_seed: int = 0
 
+    def __post_init__(self):
+        if self.beam_width < 0:  # a negative slice would keep all but the last
+            raise ValueError(f"beam width must be 0 or more, got {self.beam_width}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -89,20 +94,22 @@ _BEAM_NODE_CAP = 1_000_000
 _EXHAUSTIVE_NODE_CAP = 200_000
 
 
-# A trail is None at the start word, else (the parent's trail, the move
-# from the parent): the trace as a parent-pointer chain, unwound once.
-_Candidate = tuple[tuple, MorseWord, Optional[tuple]]  # (key, word, trail)
+# A position is its events and strand counts, the counts patched from its
+# parent's.  A trail is None at the start word, else (the parent's trail,
+# the move from the parent): the trace as a parent-pointer chain, unwound once.
+_Candidate = tuple[tuple, tuple, tuple, Optional[tuple]]  # (key, events, counts, trail)
 
 
-def _result(best: _Candidate, visited: int) -> SearchResult:
-    """The result, its word rebuilt by the validating constructor."""
-    key, patched, trail = best
+def _result(best: _Candidate, visited: int, start: MorseWord) -> SearchResult:
+    """The result, its word built by the validating constructor, which must
+    give the candidate's patched counts and the start's component count."""
+    key, events, counts, trail = best
     moves = []
     while trail is not None:
         trail, move = trail
         moves.append(move)
-    word = MorseWord(patched.events)
-    if (word.counts, word.component_count) != (patched.counts, patched.component_count):
+    word = MorseWord(events)
+    if word.counts != counts or word.component_count != start.component_count:
         raise InvalidMove(f"the patched counts of {word} differ from its simulation")
     report = embedding_report(word) if word.is_knot else None
     return SearchResult(word, report, tuple(reversed(moves)), visited, key)
@@ -112,22 +119,23 @@ def _child(
     objective: Objective, parent: _Candidate, move: Move, end: int, events: tuple, rewrite: tuple
 ) -> _Candidate:
     """The candidate of the new position ``events``, made by ``move`` (its
-    window ends at ``end``; ``rewrite`` is its moves._rewrite entry).  The
-    word is patched from the parent's: the counts outside the window and the
-    component count are the parent's.  A flat rewrite keeps every key; the
-    width and critical-count keys change by the rewrite's change."""
-    key, word, trail = parent
+    window ends at ``end``; ``rewrite`` is its moves._rewrite entry).  Its
+    counts are the parent's outside the window and the rewrite's inside.  A
+    flat rewrite keeps every key; the width and critical-count keys change by
+    the rewrite's change, and the others are read off the new levels."""
+    key, ev, counts, trail = parent
     local, flat = rewrite[1], rewrite[2]
     if local is None:
+        word = " ".join(map(str, ev))
         raise InvalidMove(f"{move} changed the component count or the strands of {word}")
-    counts = word.counts
-    child = MorseWord._patched(
-        events, counts[: move.site] + local + counts[end + 1 :], word.component_count
-    )
+    counts = counts[: move.site] + local + counts[end + 1 :]
     if not flat:
         field = _DELTA_FIELDS.get(objective.kind)
-        key = objective.key(child) if field is None else (key[0] + rewrite[field],)
-    return (key, child, (trail, move))
+        if field is None:
+            key = _PROFILE_KEYS[objective.kind](LevelProfile(levels(counts)))
+        else:
+            key = (key[0] + rewrite[field],)
+    return (key, events, counts, (trail, move))
 
 
 def _frontier_search(
@@ -141,21 +149,20 @@ def _frontier_search(
     keep: Optional[int] = None,
 ) -> SearchResult:
     """The loop behind both searches.  Each step applies every move within
-    the length budget to every frontier word and builds only positions not
-    yet seen (by canonical key).  The new ones, sorted by ``rank`` if given,
-    offer the best word and form the next frontier: the first ``keep``, or all."""
+    the length budget to every frontier position and builds only positions
+    not yet seen (by canonical key).  The new ones, sorted by ``rank`` if
+    given, offer the best and form the next frontier: the first ``keep``, or all."""
     max_len = len(start.events) + insertion_budget
     visited = {canonical_key(start)}
-    best: _Candidate = (objective.key(start), start, None)
+    best: _Candidate = (objective.key(start), start.events, start.counts, None)
     frontier = [best]
     sites, rewrites = _shared_memos()
 
     for _ in range(steps):
         candidates: list[_Candidate] = []
         for parent in frontier:
-            word = parent[1]
-            ev, counts = word.events, word.counts
-            for k, kind, rule, params in _sites(word, max_len - len(ev), sites):
+            _, ev, counts, _ = parent
+            for k, kind, rule, params in _sites(ev, counts, max_len - len(ev), sites):
                 # Key first, build only new positions.  Equal keys differ only
                 # by distant crossing swaps, which keep index validity, counts
                 # and component count: the word first seen with a key has them.
@@ -172,7 +179,7 @@ def _frontier_search(
                     best = min([best, *candidates], key=itemgetter(0))
                     raise BudgetExceeded(
                         f"{name} search node cap exceeded",
-                        best=_result(best, len(visited)),
+                        best=_result(best, len(visited), start),
                     )
         if not candidates:
             break
@@ -180,7 +187,7 @@ def _frontier_search(
             candidates.sort(key=rank)
         best = min([best, *candidates], key=itemgetter(0))
         frontier = candidates[:keep]
-    return _result(best, len(visited))
+    return _result(best, len(visited), start)
 
 
 def beam_search(

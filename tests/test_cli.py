@@ -92,6 +92,12 @@ class TestOptimize:
         assert code == 1
         assert "closed word" in err
 
+    def test_negative_beam_refused(self, capsys):
+        argv = ["optimize", "catalog:padded_trefoil", "--beam", "-1", "--steps", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "invalid input" in err and "beam width" in err
+
 
 class TestSumCompareBracket:
     def test_sum(self, capsys):
@@ -143,6 +149,14 @@ class TestCatalogRender:
         code, out, _ = run(capsys, "render", TREFOIL, "--format", "svg")
         assert code == 0
         assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    @pytest.mark.parametrize("name", ["rational_tangle", "two_rational_sum"])
+    def test_render_refuses_a_tangle(self, capsys, name, fmt):
+        # A tangle's levels start at its boundary count, not at 0.
+        code, out, err = run(capsys, "render", f"catalog:{name}", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "needs a closed word" in err
 
 
 class TestExitCodes:

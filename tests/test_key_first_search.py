@@ -1,10 +1,10 @@
-"""The frontier loop keys a spliced candidate before it builds a word.
+"""The frontier loop keys a spliced candidate before it builds a position.
 
-A search patches one ``MorseWord`` from its parent per new position and
-none for a duplicate; the only whole word it simulates is the one it
-returns.  Skipping duplicates is sound because words sharing a canonical
-key share their strand counts and component count.  Events are tuples, so
-keys hash in C.
+A search patches one position (events and strand counts) from its parent
+per new position and none for a duplicate; the only whole word it
+simulates is the one it returns.  Skipping duplicates is sound because
+words sharing a canonical key share their strand counts and component
+count.  Events are tuples, so keys hash in C.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import pytest
 
 import morsewidth.events as events_mod
 import morsewidth.moves as moves_mod
+import morsewidth.search as search_mod
 from conftest import random_closed_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
@@ -42,16 +43,17 @@ def simulations(monkeypatch):
 
 @pytest.fixture
 def patched(monkeypatch):
-    """Every word a search patches from its parent."""
-    words = []
-    original = MorseWord._patched.__func__
+    """Every position a search patches from its parent: (key, events,
+    counts, trail)."""
+    positions = []
+    original = search_mod._child
 
-    def counting(cls, *args):
-        words.append(original(cls, *args))
-        return words[-1]
+    def counting(*args):
+        positions.append(original(*args))
+        return positions[-1]
 
-    monkeypatch.setattr(events_mod.MorseWord, "_patched", classmethod(counting))
-    return words
+    monkeypatch.setattr(search_mod, "_child", counting)
+    return positions
 
 
 SEARCHES = [
@@ -79,7 +81,7 @@ def test_search_patches_each_new_position_once(patched, search):
     result = search(start)
     assert result.visited > 500
     assert len(patched) == result.visited - 1
-    assert len({word.events for word in patched}) == len(patched)
+    assert len({events for _, events, _, _ in patched}) == len(patched)
 
 
 def test_component_change_is_refused_inside_a_search(monkeypatch):

@@ -1,10 +1,10 @@
-"""A search patches each new position from its parent instead of
-simulating it, and two memos feed it: the moves valid at a site and the
-checked rewrite of a window.
+"""A search patches each new position (its events and strand counts) from
+its parent instead of simulating it, and two memos feed it: the moves
+valid at a site and the checked rewrite of a window.
 
-Every patched word must equal the validating constructor's word (counts,
-component count and objective key), the boundary matching that licenses
-a patch must agree with the independent component walk of
+Every patched position must equal the validating constructor's word
+(counts, component count and objective key), the boundary matching that
+licenses a patch must agree with the independent component walk of
 ``tests/oracles.py``, and a rewrite that breaks locality must be refused.
 The memos are keyed by the rules and rewrites that filled them, so a rule
 replaced in the table is a new key and the next search sees it.
@@ -29,7 +29,7 @@ from oracles import oracle_components, oracle_matching
 
 @pytest.fixture
 def children(monkeypatch):
-    """(objective, parent word, move, candidate) of every new position."""
+    """(objective, parent events, move, candidate) of every new position."""
     made = []
     original = search_mod._child
 
@@ -73,12 +73,12 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     visited += sum(result.visited - 1 for result in random_searches(objective))
     assert len(children) == visited > 5000
     kept_key = 0
-    for searched_for, parent, move, (key, word, trail) in children:
+    for searched_for, parent_events, move, (key, events, counts, trail) in children:
         assert searched_for is objective and trail[1] is move
-        simulated = MorseWord(word.events)
-        assert word.counts == simulated.counts, str(word)
-        assert word.component_count == simulated.component_count == parent.component_count
-        assert key == objective.key(simulated), str(word)
+        parent, simulated = MorseWord(parent_events), MorseWord(events)
+        assert counts == simulated.counts, str(simulated)
+        assert simulated.component_count == parent.component_count
+        assert key == objective.key(simulated), str(simulated)
         assert apply_move(parent, move) == simulated
         kept_key += key == objective.key(parent)
     assert 0 < kept_key < len(children)
@@ -120,7 +120,7 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
     memo: dict = {}
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        for k, kind, rule, params in moves_mod._sites(word, None, {}):
+        for k, kind, rule, params in moves_mod._sites(word.events, word.counts, None, {}):
             end = k + rule.width
             window = word.events[k:end]
             entry = moves_mod._rewrite(memo, rule, window, params, word.counts[k])
@@ -157,6 +157,25 @@ def test_search_refuses_a_rewrite_that_is_not_local(monkeypatch, name, exhaustiv
             exhaustive_min(start, radius=1, insertion_budget=2)
         else:
             beam_search(start, config=SearchConfig(max_steps=2))
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["beam", "exhaustive"])
+def test_result_refuses_counts_that_differ_from_its_word(monkeypatch, exhaustive):
+    # Every checked rewrite claims counts 2 higher: no local check sees it,
+    # so only the whole word the search returns can.
+    original = moves_mod._rewrite
+
+    def lifted(*args):
+        new, local, *rest = original(*args)
+        return (new, local and tuple(c + 2 for c in local), *rest)
+
+    monkeypatch.setattr(search_mod, "_rewrite", lifted)
+    start = catalog("padded_trefoil")
+    with pytest.raises(InvalidMove, match="patched counts"):
+        if exhaustive:
+            exhaustive_min(start, radius=1)
+        else:
+            beam_search(start, config=SearchConfig(max_steps=1))
 
 
 def test_a_rule_patched_after_a_search_is_seen(monkeypatch):

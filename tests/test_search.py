@@ -73,6 +73,11 @@ class TestBeam:
         assert err.value.best is not None
         assert err.value.best.best_report.width <= 18
 
+    def test_negative_beam_width_is_refused(self):
+        with pytest.raises(ValueError, match="beam width"):
+            SearchConfig(beam_width=-1)
+        assert SearchConfig(beam_width=0).beam_width == 0
+
 
 class TestExhaustive:
     def test_finds_trefoil_from_padded(self):
