@@ -17,8 +17,13 @@ From the levels:
 * bridge_count -- the number of caps (= number of cups): half the level steps.
 * otp_vector   -- thick widths, sorted non-increasing; compared
                   lexicographically with a proper prefix ordered first.
+* critical_count, rep_upper, waist_upper -- the number of cups and caps,
+                  min(bridge, trunk // 2) and trunk // 3.
 
-All derived ratios (proportion, average_trunk) are exact rationals.
+All derived ratios (proportion, average_trunk) are exact rationals.  A
+knot word's report is its ``LevelProfile``: every value above is a
+property of the profile, computed when read.  Tangles have no levels
+here; ``tangle_trunk`` is their invariant.
 These are invariants of the embedding the word presents, not of the
 underlying knot type; knot-type minima over all embeddings are out of
 scope (as are mp(K), distortion and bridge-distance style invariants),
@@ -27,7 +32,7 @@ and position comparisons are per word set (see position search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -50,7 +55,8 @@ class Gap:
 
 @dataclass(frozen=True)
 class LevelProfile:
-    """The levels of a closed word: 0, each gap's width bottom to top, 0."""
+    """The levels of a closed word: 0, each gap's width bottom to top, 0.
+    Every level invariant is a property; a knot word's profile is its report."""
 
     levels: tuple[int, ...]
 
@@ -108,6 +114,34 @@ class LevelProfile:
     def average_trunk(self) -> Fraction:
         return Fraction(sum(self.thick_widths), self.height)
 
+    @property
+    def critical_count(self) -> int:
+        return len(self.levels) - 1  # one level step per cup or cap
+
+    @property
+    def rep_upper(self) -> int:
+        return min(self.bridge, self.trunk // 2)
+
+    @property
+    def waist_upper(self) -> int:
+        return self.trunk // 3
+
+    def as_dict(self) -> dict:
+        """JSON-ready dict of the ten report fields (not ``gaps``); the vector
+        becomes a list and rationals {num, den} in lowest terms."""
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        out["otp_vector"] = list(self.otp_vector)
+        for name in ("proportion", "average_trunk"):
+            out[name] = {"num": out[name].numerator, "den": out[name].denominator}
+        return out
+
+
+_REPORT_FIELDS = (
+    "width", "trunk", "height", "bridge", "critical_count",
+    "otp_vector", "proportion", "average_trunk", "rep_upper", "waist_upper",
+)
+EmbeddingReport = LevelProfile
+
 
 def levels(counts: Sequence[int]) -> tuple[int, ...]:
     """Each run of equal strand counts once, bottom to top: a crossing
@@ -116,6 +150,8 @@ def levels(counts: Sequence[int]) -> tuple[int, ...]:
 
 
 def level_profile(word: MorseWord) -> LevelProfile:
+    if isinstance(word, TangleWord):
+        raise ValueError("level invariants need a closed word, got a tangle")
     return LevelProfile(levels(word.counts))
 
 
@@ -136,7 +172,7 @@ def bridge_count(word: MorseWord) -> int:
 
 
 def critical_count(word: MorseWord) -> int:
-    return len(levels(word.counts)) - 1
+    return level_profile(word).critical_count
 
 
 def otp_vector(word: MorseWord) -> tuple[int, ...]:
@@ -150,9 +186,9 @@ def otp_compare(a, b) -> int:
     longer vector, so {10,10} < {10,10,10}.  (Python tuple comparison
     implements exactly this convention.)
     """
-    if isinstance(a, MorseWord):
+    if isinstance(a, (MorseWord, TangleWord)):
         a = otp_vector(a)
-    if isinstance(b, MorseWord):
+    if isinstance(b, (MorseWord, TangleWord)):
         b = otp_vector(b)
     a, b = tuple(a), tuple(b)
     return -1 if a < b else (0 if a == b else 1)
@@ -178,53 +214,10 @@ def waist_upper_bound(word: MorseWord) -> int:
     return embedding_report(word).waist_upper
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """All level invariants of one knot embedding, derived from one gap
-    profile.  ``gaps`` is that profile; it is not part of ``as_dict``."""
-
-    width: int
-    trunk: int
-    height: int
-    bridge: int
-    critical_count: int
-    otp_vector: tuple[int, ...]
-    proportion: Fraction
-    average_trunk: Fraction
-    rep_upper: int
-    waist_upper: int
-    gaps: tuple[Gap, ...] = field(compare=False, repr=False)
-
-    def as_dict(self) -> dict:
-        """JSON-ready dict of every field but ``gaps``, in field order; the
-        vector becomes a list and rationals {num, den} in lowest terms."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gaps"}
-        out["otp_vector"] = list(self.otp_vector)
-        for name in ("proportion", "average_trunk"):
-            out[name] = {"num": out[name].numerator, "den": out[name].denominator}
-        return out
-
-
 def embedding_report(word: MorseWord) -> EmbeddingReport:
-    return _report(level_profile(require_knot(word)))
-
-
-def _report(profile: LevelProfile) -> EmbeddingReport:
-    """The report of a knot word, every field read off its profile."""
-    top, bridge = profile.trunk, profile.bridge
-    return EmbeddingReport(
-        width=profile.width,
-        trunk=top,
-        height=profile.height,
-        bridge=bridge,
-        critical_count=len(profile.levels) - 1,  # one step per cup or cap
-        otp_vector=profile.otp_vector,
-        proportion=profile.proportion,
-        average_trunk=profile.average_trunk,
-        rep_upper=min(bridge, top // 2),
-        waist_upper=top // 3,
-        gaps=profile.gaps,
-    )
+    profile = level_profile(word)  # a tangle is refused as one, not as a link
+    require_knot(word)
+    return profile
 
 
 def is_bridge_position(word: MorseWord) -> bool:

@@ -1,10 +1,11 @@
 """Search over the move graph for good positions of a fixed knot.
 
-Nodes are Morse words; edges are rewrite moves.  The searches never
-return a word worse than their input under the chosen objective, and
-beam search is deterministic for a fixed seed: candidates are generated
-in a fixed order, shuffled by the seeded RNG, then stably sorted by
-objective value, so the seed only breaks ties.
+A node is a position (key, events, strand counts, trail); edges are
+rewrite moves.  Only the word a search returns is built as a validated
+``MorseWord``.  The searches never return a word worse than their input
+under the chosen objective, and beam search is deterministic for a fixed
+seed: candidates are generated in a fixed order and sorted by (objective
+key, one seeded random draw per candidate), so the seed only breaks ties.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .events import MorseWord, require_knot
 from .invariants import (
     EmbeddingReport,
     LevelProfile,
-    _report,
-    critical_count,
     embedding_report,
     level_profile,
     levels,
@@ -40,9 +39,10 @@ class ObjectiveKind(Enum):
     __hash__ = object.__hash__  # singletons: identity hash, as for EventKind
 
 
-# Every key but the critical count is read off the word's gap profile.
+# Every key is read off the word's level profile.
 _PROFILE_KEYS: dict[ObjectiveKind, Callable[[LevelProfile], tuple]] = {
     ObjectiveKind.GABAI_WIDTH: lambda p: (p.width,),
+    ObjectiveKind.CRITICAL_COUNT: lambda p: (p.critical_count,),
     # Thick-width vectors compare lexicographically; total width breaks ties.
     ObjectiveKind.OTP_LEX: lambda p: (p.otp_vector, p.width),
     ObjectiveKind.TRUNK_ONLY: lambda p: (p.trunk,),
@@ -63,10 +63,13 @@ class Objective:
     kind: ObjectiveKind = ObjectiveKind.GABAI_WIDTH
 
     def key(self, word: MorseWord) -> tuple:
-        """The word's key; builds at most one gap profile."""
-        if self.kind is ObjectiveKind.CRITICAL_COUNT:
-            return (critical_count(word),)
+        """The word's key, read off its one level profile."""
         return _PROFILE_KEYS[self.kind](level_profile(word))
+
+
+def _refuse_negative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name.replace('_', ' ')} must be 0 or more, got {value}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,10 @@ class SearchConfig:
     random_seed: int = 0
 
     def __post_init__(self):
-        if self.beam_width < 0:  # a negative slice would keep all but the last
-            raise ValueError(f"beam width must be 0 or more, got {self.beam_width}")
+        # A negative beam slice would keep all but the last candidates, a
+        # negative budget would admit only moves that shrink the word.
+        for name in ("beam_width", "max_steps", "insertion_budget"):
+            _refuse_negative(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -219,6 +224,8 @@ def exhaustive_min(
 ) -> SearchResult:
     """Breadth-first over every word within ``radius`` moves, up to the
     node cap.  With insertion_budget=0 the reachable set is finite."""
+    _refuse_negative("radius", radius)
+    _refuse_negative("insertion_budget", insertion_budget)
     return _frontier_search(
         start, objective, radius, insertion_budget, _EXHAUSTIVE_NODE_CAP, "exhaustive"
     )
@@ -268,13 +275,11 @@ def classify_positions(words: Sequence[MorseWord]) -> PositionClasses:
                 f"positions disagree on the normalized bracket: {words[0]} vs {w}"
             )
     profiles = [level_profile(w) for w in words]  # one per word: its keys and its report
-    width_key = _PROFILE_KEYS[ObjectiveKind.GABAI_WIDTH]
-    otp_key = _PROFILE_KEYS[ObjectiveKind.OTP_LEX]
-    critical_key = Objective(ObjectiveKind.CRITICAL_COUNT).key
-    keys = [(width_key(p), critical_key(w), otp_key(p)) for w, p in zip(words, profiles)]
+    kinds = (ObjectiveKind.GABAI_WIDTH, ObjectiveKind.CRITICAL_COUNT, ObjectiveKind.OTP_LEX)
+    keys = [tuple(_PROFILE_KEYS[kind](p) for kind in kinds) for p in profiles]
     minima = [min(column) for column in zip(*keys)]
     positions = tuple(
-        ClassifiedPosition(w, _report(p), *(k == m for k, m in zip(row, minima)))
+        ClassifiedPosition(w, p, *(k == m for k, m in zip(row, minima)))
         for w, p, row in zip(words, profiles, keys)
     )
     (min_width,), (min_critical,), (min_otp, _) = minima

@@ -98,6 +98,13 @@ class TestOptimize:
         assert (code, out) == (1, "")
         assert "invalid input" in err and "beam width" in err
 
+    @pytest.mark.parametrize("bound", [["--insertions", "-5"], ["--steps", "-2"]])
+    def test_negative_steps_or_insertions_refused(self, capsys, bound):
+        argv = ["optimize", "catalog:padded_trefoil", "--steps", "3", *bound]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "invalid input" in err and "must be 0 or more" in err
+
 
 class TestSumCompareBracket:
     def test_sum(self, capsys):

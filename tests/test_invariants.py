@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_bridge_word, random_closed_word
+from conftest import random_bridge_word, random_closed_word, random_knot_word
+from morsewidth.catalog import catalog
 from morsewidth.errors import ValidationError
-from morsewidth.events import MorseWord, TangleWord, cap, cross, cup
+from morsewidth.events import EventKind, MorseWord, TangleWord, cap, cross, cup
 from morsewidth.invariants import (
     NEITHER,
     THICK,
@@ -250,6 +251,31 @@ class TestTangleTrunk:
         t = TangleWord(6, [cap(1), cap(1), cap(1)])
         assert tangle_trunk(t) == 6
 
+    @pytest.mark.parametrize("name", ["rational_tangle", "two_rational_sum"])
+    @pytest.mark.parametrize(
+        "invariant",
+        [
+            width,
+            trunk,
+            height,
+            bridge_count,
+            critical_count,
+            otp_vector,
+            proportion,
+            average_trunk,
+            rep_upper_bound,
+            waist_upper_bound,
+            is_bridge_position,
+            level_profile,
+            embedding_report,
+            lambda t: otp_compare(t, [4]),
+            lambda t: otp_compare([4], t),
+        ],
+    )
+    def test_level_invariants_refuse_tangles(self, name, invariant):
+        with pytest.raises(ValueError, match="got a tangle"):
+            invariant(catalog(name))
+
 
 class TestReport:
     def test_dict_key_order(self):
@@ -268,3 +294,31 @@ class TestReport:
         ]
         assert d["proportion"] == {"num": 1, "den": 1}
         assert d["otp_vector"] == [4]
+
+    def test_fields_match_reference_scan(self, rng):
+        def ratio(num, den):
+            q = Fraction(num, den)
+            return {"num": q.numerator, "den": q.denominator}
+
+        for _ in range(400):
+            w = random_knot_word(rng)
+            if rng.random() < 0.5:  # a sum of two words of bridge 2 or more has a thin gap
+                w = connected_sum(w, random_knot_word(rng))
+            gaps = oracle_gaps(w.events)
+            widths = [g for g, _ in gaps]
+            thick = [g for g, cls in gaps if cls == THICK]
+            caps = sum(e.kind is EventKind.CAP for e in w.events)
+            cups = sum(e.kind is EventKind.CUP for e in w.events)
+            top = max(widths)
+            assert embedding_report(w).as_dict() == {
+                "width": sum(widths),
+                "trunk": top,
+                "height": len(thick),
+                "bridge": caps,
+                "critical_count": cups + caps,
+                "otp_vector": sorted(thick, reverse=True),
+                "proportion": ratio(top, len(thick) * 2 * caps),
+                "average_trunk": ratio(sum(thick), len(thick)),
+                "rep_upper": min(caps, top // 2),
+                "waist_upper": top // 3,
+            }

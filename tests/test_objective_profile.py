@@ -22,15 +22,28 @@ def profiles(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["trefoil_plat", "cex4_gamma", "bt134"])
-def test_otp_key_builds_one_profile(profiles, name):
-    word = catalog(name)
-    key = Objective(ObjectiveKind.OTP_LEX).key(word)
-    assert len(profiles) == 1
+def _otp(word):
     profile = invariants_mod.level_profile(word)
-    assert key == (profile.otp_vector, profile.width)
+    return (profile.otp_vector, profile.width)
 
 
-def test_critical_key_builds_no_profile(profiles):
-    Objective(ObjectiveKind.CRITICAL_COUNT).key(catalog("cex4_gamma"))
-    assert profiles == []
+def _cups_and_caps(word):
+    return (sum(e.is_critical for e in word.events),)
+
+
+NAMES = ["trefoil_plat", "cex4_gamma", "bt134"]
+
+
+@pytest.mark.parametrize(
+    "name, kind, expected",
+    [pytest.param(n, ObjectiveKind.OTP_LEX, _otp, id=n) for n in NAMES]
+    + [
+        pytest.param(n, ObjectiveKind.CRITICAL_COUNT, _cups_and_caps, id=f"critical-{n}")
+        for n in NAMES
+    ],
+)
+def test_otp_key_builds_one_profile(profiles, name, kind, expected):
+    word = catalog(name)
+    key = Objective(kind).key(word)
+    assert len(profiles) == 1
+    assert key == expected(word)

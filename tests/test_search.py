@@ -78,6 +78,13 @@ class TestBeam:
             SearchConfig(beam_width=-1)
         assert SearchConfig(beam_width=0).beam_width == 0
 
+    @pytest.mark.parametrize("field", ["max_steps", "insertion_budget"])
+    def test_negative_steps_or_budget_is_refused(self, field):
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            SearchConfig(**{field: -1})
+        config = SearchConfig(**{field: 0})
+        assert beam_search(TREFOIL, WIDTH, config).best_word == TREFOIL
+
 
 class TestExhaustive:
     def test_finds_trefoil_from_padded(self):
@@ -114,6 +121,13 @@ class TestExhaustive:
             w, Objective(ObjectiveKind.CRITICAL_COUNT), radius=2, insertion_budget=2
         )
         assert roomy.visited > fixed.visited
+
+    @pytest.mark.parametrize(
+        "bounds", [{"radius": -3}, {"radius": 1, "insertion_budget": -1}]
+    )
+    def test_negative_radius_or_budget_is_refused(self, bounds):
+        with pytest.raises(ValueError, match="must be 0 or more"):
+            exhaustive_min(catalog("padded_trefoil"), WIDTH, **bounds)
 
     def test_node_cap_carries_best(self, monkeypatch):
         monkeypatch.setattr(search_mod, "_EXHAUSTIVE_NODE_CAP", 5)

@@ -92,7 +92,8 @@ def test_embedding_report_classifies_gaps_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(classes, "func", counting)
-    invariants_mod.embedding_report(catalog("bt134"))
+    report = invariants_mod.embedding_report(catalog("bt134"))
+    assert report.as_dict() and report.gaps  # fields are computed when read
     assert len(calls) == 1
 
 
