@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .events import EventKind, MorseWord, require_knot
+from .events import EventKind, MorseWord, require_closed, require_knot
 
 MAX_STATE_SUM_CROSSINGS = 18
 
@@ -182,7 +182,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
     of A^(#A - #B smoothings) * delta^(closed loops) over the smoothings
     that give it, packed into one int as the module docstring says.
     """
-    c = word.crossing_count
+    c = require_closed(word, "the bracket").crossing_count
     if c > MAX_STATE_SUM_CROSSINGS:
         raise BudgetExceeded(
             f"{c} crossings exceeds the state-sum cap of "

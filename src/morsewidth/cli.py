@@ -30,7 +30,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .events import MorseWord, TangleWord
+from .events import MorseWord, TangleWord, require_closed
 from .invariants import (
     connected_sum,
     embedding_report,
@@ -42,10 +42,7 @@ from .textio import parse, render_profile, serialize
 
 
 def _load_closed(source: str) -> MorseWord:
-    word = _load(source)
-    if isinstance(word, TangleWord):
-        raise ValueError("this command needs a closed word, got a tangle")
-    return word
+    return require_closed(_load(source), "this command")
 
 
 def _load(source: str) -> Union[MorseWord, TangleWord]:

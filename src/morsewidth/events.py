@@ -56,10 +56,6 @@ class MorseEvent(_EventFields):
             raise ValueError("only crossings carry a sign")
         return tuple.__new__(cls, (kind, index, sign))
 
-    @property
-    def is_critical(self) -> bool:
-        return self.kind is not EventKind.CROSS
-
     def token(self) -> str:
         """DSL token for this event (``b3``, ``d1``, ``x2+``)."""
         if self.kind is EventKind.CUP:
@@ -284,8 +280,17 @@ def component_count(word: MorseWord | TangleWord) -> int:
     return word.component_count
 
 
+def require_closed(word: MorseWord | TangleWord, what: str) -> MorseWord:
+    """Guard for operations on closed words: a tangle raises ValueError."""
+    if isinstance(word, TangleWord):
+        raise ValueError(f"{what} needs a closed word, got a tangle")
+    return word
+
+
 def require_knot(word: MorseWord) -> MorseWord:
-    """Guard for knot-level operations; links raise MultipleComponents."""
+    """Guard for knot-level operations; tangles raise ValueError, links
+    MultipleComponents."""
+    require_closed(word, "a knot operation")
     if not isinstance(word, MorseWord) or not word.is_knot:
         raise ValidationError(
             [

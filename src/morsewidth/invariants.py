@@ -18,7 +18,7 @@ From the levels:
 * otp_vector   -- thick widths, sorted non-increasing; compared
                   lexicographically with a proper prefix ordered first.
 * critical_count, rep_upper, waist_upper -- the number of cups and caps,
-                  min(bridge, trunk // 2) and trunk // 3.
+                  trunk // 2 and trunk // 3.
 
 All derived ratios (proportion, average_trunk) are exact rationals.  A
 knot word's report is its ``LevelProfile``: every value above is a
@@ -37,8 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ValidationError, Violation
-from .events import MorseWord, TangleWord, require_knot
+from .events import MorseWord, TangleWord, require_closed, require_knot
 
 THICK = "thick"
 THIN = "thin"
@@ -120,7 +119,7 @@ class LevelProfile:
 
     @property
     def rep_upper(self) -> int:
-        return min(self.bridge, self.trunk // 2)
+        return self.trunk // 2
 
     @property
     def waist_upper(self) -> int:
@@ -150,9 +149,7 @@ def levels(counts: Sequence[int]) -> tuple[int, ...]:
 
 
 def level_profile(word: MorseWord) -> LevelProfile:
-    if isinstance(word, TangleWord):
-        raise ValueError("level invariants need a closed word, got a tangle")
-    return LevelProfile(levels(word.counts))
+    return LevelProfile(levels(require_closed(word, "a level invariant").counts))
 
 
 def width(word: MorseWord) -> int:
@@ -205,7 +202,8 @@ def average_trunk(word: MorseWord) -> Fraction:
 
 def rep_upper_bound(word: MorseWord) -> int:
     """Upper bound for the representativity of the knot the word presents:
-    min(bridge number, floor(trunk/2))."""
+    floor(trunk/2), the paper's bound.  It never exceeds the bridge number,
+    since trunk <= 2 * bridge on every closed word."""
     return embedding_report(word).rep_upper
 
 
@@ -215,9 +213,7 @@ def waist_upper_bound(word: MorseWord) -> int:
 
 
 def embedding_report(word: MorseWord) -> EmbeddingReport:
-    profile = level_profile(word)  # a tangle is refused as one, not as a link
-    require_knot(word)
-    return profile
+    return level_profile(require_knot(word))
 
 
 def is_bridge_position(word: MorseWord) -> bool:
@@ -230,10 +226,6 @@ def connected_sum(a: MorseWord, b: MorseWord) -> MorseWord:
     concatenate.  Exactly additive: width w1+w2-2, bridge b1+b2-1, trunk
     max(t1, t2), still one component."""
     for w in (a, b):
-        if not isinstance(w, MorseWord):
-            raise ValidationError(
-                [Violation("EmptyWord", 0, "connected_sum needs two knot words")]
-            )
         require_knot(w)
     # Local validity forces a's last event to be Cap(1) at two strands and
     # b's first to be Cup(1), so the splice lines up without reindexing.

@@ -27,11 +27,11 @@ window's replacement).  Enumeration, application, inverses, LENGTH_DELTA
 and WRITHE_CHANGING all derive from the table, with no per-kind code.
 
 ``apply_move`` simulates and checks every word it makes.  A search instead
-memoizes the moves of a site (``_sites``) and each rewrite with the local
+caches the moves of a site (``_site``) and each rewrite with the local
 check that lets it patch a position from its parent (``_rewrite``).  Both
-memos are module dicts that every search shares, one per rule table and
-not per search: they are keyed by the rules and rewrites themselves, and
-emptied when a search starts with more than ``_MEMO_CAP`` entries.
+are functions under ``functools.lru_cache``, shared by every search and
+bounded at ``_MEMO_CAP`` entries each, least recently used out.  A rule
+replaced in ``_RULES`` is not seen by a cached site: empty both caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidMove
@@ -64,9 +65,6 @@ class MoveKind(Enum):
     __hash__ = object.__hash__  # singletons: identity hash, as for EventKind
 
 
-_KIND_ORDER = {k: n for n, k in enumerate(MoveKind)}
-
-
 class Move(NamedTuple):
     """A move: its kind, site and parameters.  A tuple, half the cost of a
     frozen dataclass to make; the kind is a field, so two moves are equal
@@ -75,10 +73,6 @@ class Move(NamedTuple):
     kind: MoveKind
     site: int
     params: tuple = ()
-
-    # Enum members do not order, so the enumeration order is explicit:
-    def sort_key(self) -> tuple:
-        return (self.site, _KIND_ORDER[self.kind], self.params)
 
     def __str__(self) -> str:
         inner = ",".join(str(p) for p in self.params)
@@ -195,8 +189,8 @@ def _cap_absorb_params(window: _Window, strands_below: int) -> list[tuple]:
     return [()] if kinds_match and e2.index == e1.index else []
 
 
-# eq=False: a rule hashes and compares by identity, so the _sites memo can
-# be keyed by the rules themselves; a rule replaced in _RULES is a new key.
+# eq=False: a rule hashes and compares by identity, so the _rewrite cache
+# is keyed by the rule itself; a rule replaced in _RULES is a new key.
 @dataclass(frozen=True, eq=False)
 class _Rule:
     width: int  # events replaced at the site
@@ -227,60 +221,43 @@ LENGTH_DELTA = {kind: rule.length_delta for kind, rule in _RULES.items()}
 WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe_changing)
 
 
-# The memos of _sites and _rewrite that every search shares.  Their keys
-# hold the rules and rewrites that filled them, so a rule replaced in
-# _RULES misses and is seen by the next search.
-_SITE_MEMO: dict = {}
-_REWRITE_MEMO: dict = {}
+# The widest window: the moves at a site depend only on the events from it
+# as far as this, and on the strand count below it.
+_REACH = max(rule.width for rule in _RULES.values())
 
-# Entries the memos may hold when a search starts, about 11 MiB at some 700
-# bytes an entry: the windows of 1,824 random-knot searches fill 2,517.
+# Entries each cache below may hold, least recently used out.  A site entry
+# takes 1.2 KB at 4 strands and 2 KB at 10 and a rewrite entry about 0.5 KB,
+# so both stay under some 40 MiB; 1,824 random-knot searches fill 1,023.
 _MEMO_CAP = 1 << 14
 
 
-def _shared_memos() -> tuple[dict, dict]:
-    """The site and rewrite memos, emptied first if they hold more than
-    _MEMO_CAP entries: they then never hold more than that plus what one
-    search adds, which a memo of that search alone would hold too."""
-    if len(_REWRITE_MEMO) + sum(map(len, _SITE_MEMO.values())) > _MEMO_CAP:
-        _SITE_MEMO.clear()
-        _REWRITE_MEMO.clear()
-    return _SITE_MEMO, _REWRITE_MEMO
-
-
-def _sites(ev: tuple, counts: tuple, max_delta: int | None, memo: dict) -> Iterator[tuple]:
-    """(site, kind, rule, params) of each move of ``enumerate_moves`` on the
-    events ``ev`` with strand counts ``counts``.  A site's moves of the rules
-    within ``max_delta`` depend only on the events from it, as far as the
-    widest window reaches, and the count below it: ``memo`` maps those (kind,
-    rule) pairs, then that pair, to the site's (kind, rule, params) entries."""
-    rules = tuple(
-        (kind, rule)
+@lru_cache(maxsize=_MEMO_CAP)
+def _site(window: tuple, n: int) -> list[tuple]:
+    """(kind, rule, params list) of each rule with a move on ``window`` (the
+    events from a site, up to _REACH of them) with ``n`` strands below it."""
+    return [
+        (kind, rule, found)
         for kind, rule in _RULES.items()
-        if max_delta is None or rule.length_delta <= max_delta
-    )
-    reach = max((rule.width for _, rule in rules), default=0)
-    known = memo.setdefault(rules, {})
+        if rule.width <= len(window) and (found := rule.params(window[: rule.width], n))
+    ]
+
+
+def _sites(ev: tuple, counts: tuple, max_delta: int | None, site: Callable) -> Iterator[tuple]:
+    """(site, kind, rule, params) of each move of ``enumerate_moves`` on the
+    events ``ev`` with strand counts ``counts``, the moves of each site
+    listed by ``site`` (``_site``, cached or not)."""
     for k in range(len(ev) + 1):
-        site = (ev[k : k + reach], counts[k])
-        entries = known.get(site)
-        if entries is None:
-            window, n = site
-            entries = known[site] = [
-                (kind, rule, found)
-                for kind, rule in rules
-                if rule.width <= len(window) and (found := rule.params(window[: rule.width], n))
-            ]
-        for kind, rule, found in entries:
-            for params in found:
-                yield k, kind, rule, params
+        for kind, rule, found in site(ev[k : k + _REACH], counts[k]):
+            if max_delta is None or rule.length_delta <= max_delta:
+                for params in found:
+                    yield k, kind, rule, params
 
 
 def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]:
     """All valid moves, in deterministic order (site, then kind, then
     parameters).  ``max_delta`` leaves out the kinds whose length delta
     exceeds it, as a length budget would; None keeps every kind."""
-    found = _sites(word.events, word.counts, max_delta, {})
+    found = _sites(word.events, word.counts, max_delta, _site.__wrapped__)  # caches nothing
     return [Move(kind, k, params) for k, kind, _, params in found]
 
 
@@ -300,30 +277,25 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
     return result
 
 
-def _rewrite(memo: dict, rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
+@lru_cache(maxsize=_MEMO_CAP)
+def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
     """(rewrite events, local counts, flat, width change, critical change) of
-    a move on ``window`` with ``n0`` strands below it, once per ``memo``.
-    The local check traces both as tangles on n0 strands: the rewrite needs
-    valid indices and the window's top count, boundary matching and closed
-    loops, which keeps the component count in any word.  The local counts
-    (None if it fails) are the rewrite's from n0 up; flat means equal
-    levels.  Both levels end at the same top count, so the Gabai width of
-    any word the move applies to changes by the difference of their sums and
-    its critical count by the difference of their lengths."""
-    key = (rule.rewrite, window, params, n0)
-    entry = memo.get(key)
-    if entry is None:
-        new = rule.rewrite(window, params)
-        before, after = _simulate(window, n0, False), _simulate(new, n0, False)
-        valid = all(v.code == "NonzeroEnd" for v in after.violations)
-        shape = (after.counts[-1], after.matching, after.closed_components)
-        if valid and shape == (before.counts[-1], before.matching, before.closed_components):
-            old, now = levels(before.counts), levels(after.counts)
-            entry = (new, after.counts, old == now, sum(now) - sum(old), len(now) - len(old))
-        else:
-            entry = (new, None, False, 0, 0)
-        memo[key] = entry
-    return entry
+    a move on ``window`` with ``n0`` strands below it.  The local check
+    traces both as tangles on n0 strands: the rewrite needs valid indices
+    and the window's top count, boundary matching and closed loops, which
+    keeps the component count in any word.  The local counts (None if it
+    fails) are the rewrite's from n0 up; flat means equal levels.  Both
+    levels end at the same top count, so the Gabai width of any word the
+    move applies to changes by the difference of their sums and its
+    critical count by the difference of their lengths."""
+    new = rule.rewrite(window, params)
+    before, after = _simulate(window, n0, False), _simulate(new, n0, False)
+    valid = all(v.code == "NonzeroEnd" for v in after.violations)
+    shape = (after.counts[-1], after.matching, after.closed_components)
+    if valid and shape == (before.counts[-1], before.matching, before.closed_components):
+        old, now = levels(before.counts), levels(after.counts)
+        return (new, after.counts, old == now, sum(now) - sum(old), len(now) - len(old))
+    return (new, None, False, 0, 0)
 
 
 def inverse_move(word: MorseWord, move: Move) -> Move:

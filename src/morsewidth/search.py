@@ -26,7 +26,7 @@ from .invariants import (
     level_profile,
     levels,
 )
-from .moves import Move, _rewrite, _shared_memos, _sites, canonical_key
+from .moves import Move, _rewrite, _site, _sites, canonical_key
 
 
 class ObjectiveKind(Enum):
@@ -161,18 +161,17 @@ def _frontier_search(
     visited = {canonical_key(start)}
     best: _Candidate = (objective.key(start), start.events, start.counts, None)
     frontier = [best]
-    sites, rewrites = _shared_memos()
 
     for _ in range(steps):
         candidates: list[_Candidate] = []
         for parent in frontier:
             _, ev, counts, _ = parent
-            for k, kind, rule, params in _sites(ev, counts, max_len - len(ev), sites):
+            for k, kind, rule, params in _sites(ev, counts, max_len - len(ev), _site):
                 # Key first, build only new positions.  Equal keys differ only
                 # by distant crossing swaps, which keep index validity, counts
                 # and component count: the word first seen with a key has them.
                 end = k + rule.width
-                rewrite = _rewrite(rewrites, rule, ev[k:end], params, counts[k])
+                rewrite = _rewrite(rule, ev[k:end], params, counts[k])
                 events = ev[:k] + rewrite[0] + ev[end:]
                 seen = len(visited)
                 visited.add(canonical_key(events))  # one hash per key

@@ -7,10 +7,12 @@ where shrinking helps (parsers, orderings).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+import morsewidth.moves as moves_mod
 from morsewidth.events import MorseEvent, MorseWord, cap, cross, cup
 
 
@@ -86,3 +88,26 @@ def random_bridge_word(rng: random.Random, **kw) -> MorseWord:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def clear_move_caches() -> None:
+    """Empty the cached site moves and rewrites that every search shares."""
+    moves_mod._site.cache_clear()
+    moves_mod._rewrite.cache_clear()
+
+
+@pytest.fixture
+def patch_rule():
+    """``patch_rule(kind, **fields)`` replaces fields of one rule of the move
+    table for one test.  The search caches hold the rules they were filled
+    with, so they are emptied when a rule is patched and again after the
+    table is restored: no patched rule outlives its test in them."""
+    saved = dict(moves_mod._RULES)
+
+    def patch(kind, **fields):
+        moves_mod._RULES[kind] = dataclasses.replace(moves_mod._RULES[kind], **fields)
+        clear_move_caches()
+
+    yield patch
+    moves_mod._RULES.update(saved)
+    clear_move_caches()

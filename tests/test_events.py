@@ -36,10 +36,6 @@ class TestEvents:
         with pytest.raises(ValueError):
             MorseEvent(EventKind.CUP, 1, 1)
 
-    def test_is_critical(self):
-        assert cup(1).is_critical and cap(1).is_critical
-        assert not cross(1, 1).is_critical
-
 
 class TestMorseWord:
     def test_counts(self):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_bridge_word, random_closed_word, random_knot_word
+from morsewidth.bracket import jones_normalized, kauffman_bracket, writhe
 from morsewidth.catalog import catalog
+from morsewidth.cli import _load_closed
 from morsewidth.errors import ValidationError
-from morsewidth.events import EventKind, MorseWord, TangleWord, cap, cross, cup
+from morsewidth.events import EventKind, MorseWord, TangleWord, cap, cross, cup, require_knot
 from morsewidth.invariants import (
     NEITHER,
     THICK,
@@ -31,6 +33,8 @@ from morsewidth.invariants import (
     waist_upper_bound,
     width,
 )
+from morsewidth.search import classify_positions
+from morsewidth.textio import serialize
 from oracles import oracle_gaps, oracle_width
 
 TREFOIL = MorseWord([cup(1), cup(2), cross(3, -1), cross(3, -1), cross(3, -1), cap(2), cap(1)])
@@ -96,7 +100,7 @@ class TestWidth:
             assert len(thick) == len(thin) + 1
             assert 2 * width(w) == sum(t * t for t in thick) - sum(s * s for s in thin)
             assert width(w) == oracle_width(w.events)
-            assert critical_count(w) == sum(e.is_critical for e in w.events)
+            assert critical_count(w) == sum(e.kind is not EventKind.CROSS for e in w.events)
 
     def test_thick_thin_alternate(self, rng):
         for _ in range(300):
@@ -270,10 +274,20 @@ class TestTangleTrunk:
             embedding_report,
             lambda t: otp_compare(t, [4]),
             lambda t: otp_compare([4], t),
+            # Not only the level functions: every operation on closed words
+            # refuses a tangle by one guard, not as a link or by AttributeError.
+            require_knot,
+            kauffman_bracket,
+            writhe,
+            jones_normalized,
+            lambda t: classify_positions([t]),
+            lambda t: _load_closed(serialize(t)),
+            lambda t: connected_sum(t, TREFOIL),
+            lambda t: connected_sum(TREFOIL, t),
         ],
     )
     def test_level_invariants_refuse_tangles(self, name, invariant):
-        with pytest.raises(ValueError, match="got a tangle"):
+        with pytest.raises(ValueError, match="needs a closed word, got a tangle"):
             invariant(catalog(name))
 
 

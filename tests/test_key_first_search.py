@@ -7,7 +7,6 @@ words sharing a canonical key share their strand counts and component
 count.  Events are tuples, so keys hash in C.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 import morsewidth.events as events_mod
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
-from conftest import random_closed_word
+from conftest import clear_move_caches, random_closed_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseEvent, MorseWord, cap, cross, cup
@@ -26,7 +25,7 @@ from morsewidth.search import SearchConfig, beam_search, exhaustive_min
 @pytest.fixture
 def simulations(monkeypatch):
     """Every events passed to ``_simulate``, from words and local checks
-    alike, with the shared move memos swapped for empty ones."""
+    alike, with the shared move caches emptied first."""
     calls = []
     original = events_mod._simulate
 
@@ -36,8 +35,7 @@ def simulations(monkeypatch):
 
     for module in (events_mod, moves_mod):
         monkeypatch.setattr(module, "_simulate", counting)
-    monkeypatch.setattr(moves_mod, "_SITE_MEMO", {})
-    monkeypatch.setattr(moves_mod, "_REWRITE_MEMO", {})
+    clear_move_caches()
     return calls
 
 
@@ -84,15 +82,12 @@ def test_search_patches_each_new_position_once(patched, search):
     assert len({events for _, events, _, _ in patched}) == len(patched)
 
 
-def test_component_change_is_refused_inside_a_search(monkeypatch):
+def test_component_change_is_refused_inside_a_search(patch_rule):
     # A closed loop in place of a finger: a valid word with one more component.
     def loop(window, params):
         return (cup(params[0]), cap(params[0]))
 
-    rule = moves_mod._RULES[MoveKind.ZIGZAG_INSERT]
-    monkeypatch.setitem(
-        moves_mod._RULES, MoveKind.ZIGZAG_INSERT, dataclasses.replace(rule, rewrite=loop)
-    )
+    patch_rule(MoveKind.ZIGZAG_INSERT, rewrite=loop)
     with pytest.raises(InvalidMove, match="component count"):
         beam_search(catalog("trefoil_plat"), config=SearchConfig(max_steps=2))
 

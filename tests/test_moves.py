@@ -138,7 +138,8 @@ class TestEnumeration:
         for _ in range(50):
             w = random_closed_word(rng)
             ms = enumerate_moves(w)
-            assert ms == sorted(ms, key=Move.sort_key)
+            order = list(MoveKind)
+            assert ms == sorted(ms, key=lambda m: (m.site, order.index(m.kind), m.params))
             assert ms == enumerate_moves(w)
 
     def test_move_equality_includes_kind(self):

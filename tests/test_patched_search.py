@@ -1,16 +1,15 @@
 """A search patches each new position (its events and strand counts) from
-its parent instead of simulating it, and two memos feed it: the moves
+its parent instead of simulating it, and two caches feed it: the moves
 valid at a site and the checked rewrite of a window.
 
 Every patched position must equal the validating constructor's word
 (counts, component count and objective key), the boundary matching that
 licenses a patch must agree with the independent component walk of
 ``tests/oracles.py``, and a rewrite that breaks locality must be refused.
-The memos are keyed by the rules and rewrites that filled them, so a rule
-replaced in the table is a new key and the next search sees it.
+A rule replaced in the table is seen by the next search once both caches
+are emptied, as the ``patch_rule`` fixture does.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -20,7 +19,7 @@ import morsewidth.search as search_mod
 from conftest import random_closed_word, random_knot_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
-from morsewidth.events import MorseWord, _simulate, cap, cross, cup
+from morsewidth.events import EventKind, MorseWord, _simulate, cap, cross, cup
 from morsewidth.invariants import level_profile
 from morsewidth.moves import Move, MoveKind, apply_move, enumerate_moves
 from morsewidth.search import Objective, ObjectiveKind, SearchConfig, beam_search, exhaustive_min
@@ -117,13 +116,14 @@ def test_boundary_matching_agrees_with_the_component_walk():
 
 def test_every_rewrite_of_a_random_word_passes_the_local_check():
     rng = random.Random(11)
-    memo: dict = {}
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        for k, kind, rule, params in moves_mod._sites(word.events, word.counts, None, {}):
+        for k, kind, rule, params in moves_mod._sites(
+            word.events, word.counts, None, moves_mod._site
+        ):
             end = k + rule.width
             window = word.events[k:end]
-            entry = moves_mod._rewrite(memo, rule, window, params, word.counts[k])
+            entry = moves_mod._rewrite(rule, window, params, word.counts[k])
             new, local, flat, width_change, critical_change = entry
             assert local is not None, (str(word), kind, k, params)
             out = apply_move(word, Move(kind, k, params))
@@ -131,7 +131,7 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
             levels = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
             assert flat is (levels == [c for c, d in zip(word.counts, word.counts[1:]) if c != d])
             assert width_change == level_profile(out).width - level_profile(word).width
-            critical = [sum(e.is_critical for e in w.events) for w in (word, out)]
+            critical = [sum(e.kind is not EventKind.CROSS for e in w.events) for w in (word, out)]
             assert critical_change == critical[1] - critical[0]
 
 
@@ -147,11 +147,10 @@ BROKEN = {
 
 @pytest.mark.parametrize("name", BROKEN)
 @pytest.mark.parametrize("exhaustive", [False, True], ids=["beam", "exhaustive"])
-def test_search_refuses_a_rewrite_that_is_not_local(monkeypatch, name, exhaustive):
+def test_search_refuses_a_rewrite_that_is_not_local(patch_rule, name, exhaustive):
     start = catalog("padded_trefoil" if exhaustive else "trefoil_plat")
     kind, rewrite = BROKEN[name]
-    rule = moves_mod._RULES[kind]
-    monkeypatch.setitem(moves_mod._RULES, kind, dataclasses.replace(rule, rewrite=rewrite))
+    patch_rule(kind, rewrite=rewrite)
     with pytest.raises(InvalidMove, match="component count or the strands"):
         if exhaustive:
             exhaustive_min(start, radius=1, insertion_budget=2)
@@ -178,16 +177,13 @@ def test_result_refuses_counts_that_differ_from_its_word(monkeypatch, exhaustive
             beam_search(start, config=SearchConfig(max_steps=1))
 
 
-def test_a_rule_patched_after_a_search_is_seen(monkeypatch):
+def test_a_rule_patched_after_a_search_is_seen(patch_rule):
     start = catalog("padded_trefoil")
     every = enumerate_moves(start)
     before = exhaustive_min(start, radius=2)
     assert MoveKind.ZIGZAG_CANCEL in {m.kind for m in before.trace}
 
-    rule = moves_mod._RULES[MoveKind.ZIGZAG_CANCEL]
-    monkeypatch.setitem(
-        moves_mod._RULES, MoveKind.ZIGZAG_CANCEL, dataclasses.replace(rule, params=lambda w, n: [])
-    )
+    patch_rule(MoveKind.ZIGZAG_CANCEL, params=lambda w, n: [])
     kept = [m for m in every if m.kind is not MoveKind.ZIGZAG_CANCEL]
     assert enumerate_moves(start) == kept != every
     after = exhaustive_min(start, radius=2)
@@ -195,14 +191,13 @@ def test_a_rule_patched_after_a_search_is_seen(monkeypatch):
     assert after.visited < before.visited
 
     loop_kind, loop = BROKEN["loop"]
-    rule = moves_mod._RULES[loop_kind]
-    monkeypatch.setitem(moves_mod._RULES, loop_kind, dataclasses.replace(rule, rewrite=loop))
+    patch_rule(loop_kind, rewrite=loop)
     with pytest.raises(InvalidMove, match="component count"):
         exhaustive_min(start, radius=1, insertion_budget=2)
 
 
 def per_rule_moves(word, max_delta):
-    """Enumeration without a memo: every rule's predicate at every site."""
+    """Enumeration without a cache: every rule's predicate at every site."""
     moves = []
     for k in range(len(word.events) + 1):
         for kind, rule in moves_mod._RULES.items():

@@ -1,7 +1,6 @@
 """The move rule table: derived tables and checks that survive ``python -O``."""
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -25,15 +24,12 @@ def test_every_kind_has_one_rule():
     }
 
 
-def test_rewrite_that_changes_component_count_is_refused(monkeypatch):
+def test_rewrite_that_changes_component_count_is_refused(patch_rule):
     # A closed loop in place of a finger: a valid word with one more component.
     def loop(window, params):
         return (cup(params[0]), cap(params[0]))
 
-    rule = moves_mod._RULES[MoveKind.ZIGZAG_INSERT]
-    monkeypatch.setitem(
-        moves_mod._RULES, MoveKind.ZIGZAG_INSERT, dataclasses.replace(rule, rewrite=loop)
-    )
+    patch_rule(MoveKind.ZIGZAG_INSERT, rewrite=loop)
     with pytest.raises(InvalidMove, match="component count"):
         apply_move(TREFOIL, Move(MoveKind.ZIGZAG_INSERT, 2, (2, "right")))
 

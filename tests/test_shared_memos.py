@@ -1,9 +1,11 @@
-"""Every search shares the move memos, and keys each candidate from its window.
+"""Every search shares the move caches, and keys each candidate from its window.
 
 The moves of a site and the checked rewrite of a window are facts of the
-rule table, so one memo per table serves every search: a second identical
-search makes no local check at all.  A search that finds the memos over
-their cap empties them first.  The width and critical-count keys of
+rule table, so one cache of each serves every search: a second identical
+search makes no local check at all.  Each cache is bounded, least recently
+used out, and a search reads the same moves from a small cache as from a
+large one; a one-off ``enumerate_moves`` caches nothing.  The width and
+critical-count keys of
 a new position are its parent's key plus the window's change, so a width
 search builds no level profile for its candidates.  ``canonical_key``
 scans once and sorts only the sequences that need it; it must equal the
@@ -11,6 +13,7 @@ bubble passes of ``tests/oracles.py`` on every input.
 """
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -18,19 +21,18 @@ import pytest
 import morsewidth.invariants as invariants_mod
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
-from conftest import random_closed_events
+from conftest import clear_move_caches, random_closed_events
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.events import MorseEvent, MorseWord, cap, cross, cup
-from morsewidth.moves import Move, MoveKind, canonical_key
+from morsewidth.moves import Move, MoveKind, canonical_key, enumerate_moves
 from morsewidth.search import SearchConfig, beam_search, exhaustive_min
 from oracles import oracle_canonical_key
 
 
 @pytest.fixture
-def cold_memos(monkeypatch):
-    """Empty shared memos for one test; the warm ones come back after it."""
-    monkeypatch.setattr(moves_mod, "_SITE_MEMO", {})
-    monkeypatch.setattr(moves_mod, "_REWRITE_MEMO", {})
+def cold_memos():
+    """Empty shared caches at the start of one test."""
+    clear_move_caches()
 
 
 @pytest.fixture
@@ -66,22 +68,17 @@ def test_a_second_identical_search_makes_no_local_check(cold_memos, local_checks
     assert second.visited == first.visited > 500
 
 
-def memo_entries() -> int:
-    return len(moves_mod._REWRITE_MEMO) + sum(map(len, moves_mod._SITE_MEMO.values()))
-
-
-@pytest.mark.parametrize("over", [False, True])
-def test_a_search_empties_memos_over_their_cap(cold_memos, local_checks, monkeypatch, over):
+def test_small_caches_give_the_same_search(monkeypatch):
+    # Four entries each: nearly every lookup evicts one and misses.
     search = SEARCHES[1]
     start = pad_with_fingers(catalog("trefoil_plat"), 1)
     first = search(start)
-    checks, held = len(local_checks), memo_entries()
-    monkeypatch.setattr(moves_mod, "_MEMO_CAP", held - over)
-    local_checks.clear()
+    for name in ("_site", "_rewrite"):
+        small = functools.lru_cache(maxsize=4)(getattr(moves_mod, name).__wrapped__)
+        monkeypatch.setattr(search_mod, name, small)
     second = search(start)
-    # Over the cap the search starts from empty memos and fills them again.
-    assert len(local_checks) == (checks if over else 0)
-    assert memo_entries() == held
+    assert search_mod._rewrite.cache_info().currsize == 4
+    assert search_mod._site.cache_info().misses > 100
     assert (second.best_word, second.trace, second.visited) == (
         first.best_word,
         first.trace,
@@ -89,14 +86,25 @@ def test_a_search_empties_memos_over_their_cap(cold_memos, local_checks, monkeyp
     )
 
 
+def test_enumerate_moves_fills_no_cache(cold_memos):
+    start = catalog("padded_trefoil")
+    exhaustive_min(start, radius=1)
+    held = moves_mod._site.cache_info().currsize
+    assert held > 0
+    moves = enumerate_moves(pad_with_fingers(catalog("bt134"), 2))
+    assert len(moves) > 100
+    assert moves_mod._site.cache_info().currsize == held
+
+
 def test_memo_keys_hold_the_rules_themselves(cold_memos):
-    beam_search(catalog("padded_trefoil"), config=SearchConfig(max_steps=2))
-    pairs = set(moves_mod._RULES.items())
-    assert moves_mod._SITE_MEMO
-    for admitted in moves_mod._SITE_MEMO:
-        assert admitted and set(admitted) <= pairs
-    rewrites = {rule.rewrite for rule in moves_mod._RULES.values()}
-    assert {key[0] for key in moves_mod._REWRITE_MEMO} <= rewrites
+    # An equal copy of a rule is another key of the rewrite cache.
+    rule = moves_mod._RULES[MoveKind.R2_CANCEL]
+    window, n0 = (cross(1, 1), cross(1, -1)), 2
+    entry = moves_mod._rewrite(rule, window, (), n0)
+    assert moves_mod._rewrite(rule, window, (), n0) is entry
+    again = moves_mod._rewrite(dataclasses.replace(rule), window, (), n0)
+    assert again == entry and again is not entry
+    assert moves_mod._rewrite.cache_info()[:2] == (1, 2)  # (hits, misses)
 
 
 def test_rules_hash_and_compare_by_identity():
@@ -181,7 +189,6 @@ def test_move_is_a_tuple_with_the_old_repr():
     assert isinstance(move, tuple) and move == (MoveKind.R2_INSERT, 4, (2, -1))
     assert repr(move) == "Move(kind=<MoveKind.R2_INSERT: 'R2Insert'>, site=4, params=(2, -1))"
     assert str(move) == "R2Insert@4(2,-1)"
-    assert move.sort_key() == (4, list(MoveKind).index(MoveKind.R2_INSERT), (2, -1))
     assert Move(MoveKind.R2_CANCEL, 3) == Move(MoveKind.R2_CANCEL, 3, ())
     with pytest.raises(AttributeError):
         move.site = 5
