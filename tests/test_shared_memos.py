@@ -86,6 +86,37 @@ def test_small_caches_give_the_same_search(monkeypatch):
     )
 
 
+def sized_caches(monkeypatch, site_size, rewrite_size):
+    """New ``_site`` and ``_rewrite`` caches of these sizes where ``search`` looks them up."""
+    for name, size in (("_site", site_size), ("_rewrite", rewrite_size)):
+        cache = functools.lru_cache(maxsize=size)(getattr(moves_mod, name).__wrapped__)
+        monkeypatch.setattr(search_mod, name, cache)
+    return search_mod._site, search_mod._rewrite
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_a_search_empties_memos_over_their_cap(local_checks, monkeypatch, over):
+    # Caches that hold what one search fills serve a second search whole;
+    # one entry fewer each, the least recently used goes and must be checked again.
+    search = SEARCHES[1]
+    start = pad_with_fingers(catalog("trefoil_plat"), 1)
+    first = search(start)
+    unbounded = sized_caches(monkeypatch, None, None)
+    search(start)
+    held = [cache.cache_info().currsize for cache in unbounded]
+    caches = sized_caches(monkeypatch, held[0] - over, held[1] - over)
+    search(start)
+    local_checks.clear()
+    second = search(start)
+    assert bool(local_checks) == over
+    assert [cache.cache_info().currsize for cache in caches] == [n - over for n in held]
+    assert (second.best_word, second.trace, second.visited) == (
+        first.best_word,
+        first.trace,
+        first.visited,
+    )
+
+
 def test_enumerate_moves_fills_no_cache(cold_memos):
     start = catalog("padded_trefoil")
     exhaustive_min(start, radius=1)
