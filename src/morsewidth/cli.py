@@ -22,14 +22,7 @@ from typing import Union
 
 from .catalog import catalog, entries, realize_profile
 from .bracket import _normalized, kauffman_bracket, writhe
-from .errors import (
-    BracketMismatch,
-    BudgetExceeded,
-    InvalidMove,
-    ParseError,
-    UnknownName,
-    ValidationError,
-)
+from .errors import BudgetExceeded, ParseError, UnknownName
 from .events import MorseWord, TangleWord, require_closed
 from .invariants import (
     connected_sum,
@@ -212,8 +205,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, InvalidMove, BracketMismatch, UnknownName, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except (ValueError, UnknownName, OSError) as exc:  # bad words, moves, brackets, names, files
+        # A KeyError's str quotes its message; an OSError's first arg is its errno.
+        message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"invalid input: {message}", file=sys.stderr)
         return 1
 

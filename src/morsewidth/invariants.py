@@ -77,7 +77,7 @@ class LevelProfile:
         """The profile as ``Gap`` objects, for reports."""
         return tuple(map(Gap, self.widths, self._classes))
 
-    @property
+    @cached_property
     def thick_widths(self) -> tuple[int, ...]:
         return tuple(w for w, k in zip(self.widths, self._classes) if k == THICK)
 

@@ -26,12 +26,12 @@ count below it: the kind's only validity predicate) and ``rewrite`` (the
 window's replacement).  Enumeration, application, inverses, LENGTH_DELTA
 and WRITHE_CHANGING all derive from the table, with no per-kind code.
 
-``apply_move`` simulates and checks every word it makes.  A search instead
-caches the moves of a site (``_site``) and each rewrite with the local
-check that lets it patch a position from its parent (``_rewrite``).  Both
-are functions under ``functools.lru_cache``, shared by every search and
-bounded at ``_MEMO_CAP`` entries each, least recently used out.  A rule
-replaced in ``_RULES`` is not seen by a cached site: empty both caches.
+``apply_move`` simulates and checks every word it makes.  Every caller
+reads a site's moves from one cache, ``_site``, keyed by the events from
+the site and the strand count below it; a search also caches each checked
+rewrite (``_rewrite``).  Both are under ``functools.lru_cache``, bounded at
+``_MEMO_CAP`` entries each, least recently used out.  A rule replaced in
+``_RULES`` is not seen by a cached site: empty both caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -44,10 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidMove
-from .events import EventKind, MorseEvent, MorseWord, _simulate, cap, cross, cup
+from .events import EventKind, MorseEvent, MorseWord, _simulate, cap, cross, cup, require_closed
 from .invariants import levels
 
 
@@ -124,6 +125,8 @@ def _zigzag_params(window: _Window, strands_below: int) -> list[tuple]:
     return [()] if kinds_match and abs(e2.index - e1.index) == 1 else []
 
 
+# An insertion's window is empty: one list per strand count, shared by every site.
+@lru_cache
 def _zigzag_insert_params(window: _Window, strands_below: int) -> list[tuple]:
     # In sorted order: "left" (cap above at i-1) before "right" (cap above at
     # i+1) at each i; there is no left at i = 1 and no right at i = n + 1.
@@ -161,6 +164,7 @@ def _r2_params(window: _Window, strands_below: int) -> list[tuple]:
     return [()] if kinds_match and e1.index == e2.index and e1.sign == -e2.sign else []
 
 
+@lru_cache
 def _r2_insert_params(window: _Window, strands_below: int) -> list[tuple]:
     return [(i, s) for i in range(1, strands_below) for s in (-1, 1)]
 
@@ -226,8 +230,8 @@ WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe
 _REACH = max(rule.width for rule in _RULES.values())
 
 # Entries each cache below may hold, least recently used out.  A site entry
-# takes 1.2 KB at 4 strands and 2 KB at 10 and a rewrite entry about 0.5 KB,
-# so both stay under some 40 MiB; 1,824 random-knot searches fill 1,023.
+# takes about 0.4 KB at 4 strands and 0.7 KB at 10 and a rewrite entry about
+# 0.35 KB, so both stay under some 20 MiB; 1,824 random-knot searches fill 1,023.
 _MEMO_CAP = 1 << 14
 
 
@@ -242,23 +246,27 @@ def _site(window: tuple, n: int) -> list[tuple]:
     ]
 
 
-def _sites(ev: tuple, counts: tuple, max_delta: int | None, site: Callable) -> Iterator[tuple]:
-    """(site, kind, rule, params) of each move of ``enumerate_moves`` on the
-    events ``ev`` with strand counts ``counts``, the moves of each site
-    listed by ``site`` (``_site``, cached or not)."""
-    for k in range(len(ev) + 1):
-        for kind, rule, found in site(ev[k : k + _REACH], counts[k]):
+def _counts(ev: Sequence[MorseEvent]) -> tuple[int, ...]:
+    """The strand count below each event of the closed word ``ev``, and 0 above."""
+    return tuple(accumulate([_SHIFT[e[0]] for e in ev], initial=0))
+
+
+def _sites(ev: tuple, max_delta: int | None) -> Iterator[tuple]:
+    """(site, strands below it, kind, rule, params) of each move of
+    ``enumerate_moves`` on the closed word's events ``ev``."""
+    for k, n in enumerate(_counts(ev)):
+        for kind, rule, found in _site(ev[k : k + _REACH], n):
             if max_delta is None or rule.length_delta <= max_delta:
                 for params in found:
-                    yield k, kind, rule, params
+                    yield k, n, kind, rule, params
 
 
 def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]:
     """All valid moves, in deterministic order (site, then kind, then
     parameters).  ``max_delta`` leaves out the kinds whose length delta
     exceeds it, as a length budget would; None keeps every kind."""
-    found = _sites(word.events, word.counts, max_delta, _site.__wrapped__)  # caches nothing
-    return [Move(kind, k, params) for k, kind, _, params in found]
+    found = _sites(require_closed(word, "a move").events, max_delta)
+    return [Move(kind, k, params) for k, _, kind, _, params in found]
 
 
 def apply_move(word: MorseWord, move: Move) -> MorseWord:
@@ -279,23 +287,24 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
 
 @lru_cache(maxsize=_MEMO_CAP)
 def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
-    """(rewrite events, local counts, flat, width change, critical change) of
-    a move on ``window`` with ``n0`` strands below it.  The local check
-    traces both as tangles on n0 strands: the rewrite needs valid indices
-    and the window's top count, boundary matching and closed loops, which
-    keeps the component count in any word.  The local counts (None if it
-    fails) are the rewrite's from n0 up; flat means equal levels.  Both
-    levels end at the same top count, so the Gabai width of any word the
-    move applies to changes by the difference of their sums and its
-    critical count by the difference of their lengths."""
+    """(rewrite events, flat, width change, critical change) of a move on
+    ``window`` with ``n0`` strands below it.  The local check traces both as
+    tangles on n0 strands: the rewrite needs valid indices and the window's
+    top count, boundary matching and closed loops, which keeps the strand
+    counts outside the window and the component count in any word, else
+    InvalidMove.  Flat means equal levels.  Both levels end at the same top
+    count, so the Gabai width of any word the move applies to changes by the
+    difference of their sums and its critical count by the difference of
+    their lengths."""
     new = rule.rewrite(window, params)
     before, after = _simulate(window, n0, False), _simulate(new, n0, False)
     valid = all(v.code == "NonzeroEnd" for v in after.violations)
     shape = (after.counts[-1], after.matching, after.closed_components)
-    if valid and shape == (before.counts[-1], before.matching, before.closed_components):
-        old, now = levels(before.counts), levels(after.counts)
-        return (new, after.counts, old == now, sum(now) - sum(old), len(now) - len(old))
-    return (new, None, False, 0, 0)
+    if not valid or shape != (before.counts[-1], before.matching, before.closed_components):
+        shown = " -> ".join(" ".join(map(str, events)) for events in (window, new))
+        raise InvalidMove(f"{shown} on {n0} strands changed the component count or the strands")
+    old, now = levels(before.counts), levels(after.counts)
+    return (new, old == now, sum(now) - sum(old), len(now) - len(old))
 
 
 def inverse_move(word: MorseWord, move: Move) -> Move:

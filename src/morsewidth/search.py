@@ -1,11 +1,12 @@
 """Search over the move graph for good positions of a fixed knot.
 
-A node is a position (key, events, strand counts, trail); edges are
-rewrite moves.  Only the word a search returns is built as a validated
-``MorseWord``.  The searches never return a word worse than their input
-under the chosen objective, and beam search is deterministic for a fixed
-seed: candidates are generated in a fixed order and sorted by (objective
-key, one seeded random draw per candidate), so the seed only breaks ties.
+A node is a position (key, events, trail); edges are rewrite moves, and
+the strand counts that a move or a key needs are summed from the events.
+Only the word a search returns is built as a validated ``MorseWord``.
+The searches never return a word worse than their input under the chosen
+objective, and beam search is deterministic for a fixed seed: candidates
+are generated in a fixed order and sorted by (objective key, one seeded
+random draw per candidate), so the seed only breaks ties.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .invariants import (
     level_profile,
     levels,
 )
-from .moves import Move, _rewrite, _site, _sites, canonical_key
+from .moves import Move, _counts, _rewrite, _sites, canonical_key
 
 
 class ObjectiveKind(Enum):
@@ -53,7 +54,7 @@ _PROFILE_KEYS: dict[ObjectiveKind, Callable[[LevelProfile], tuple]] = {
 
 # Keys that sum over the steps of the strand counts (the cups and caps), so
 # a rewrite changes them by its change, a field of its moves._rewrite entry.
-_DELTA_FIELDS = {ObjectiveKind.GABAI_WIDTH: 3, ObjectiveKind.CRITICAL_COUNT: 4}
+_DELTA_FIELDS = {ObjectiveKind.GABAI_WIDTH: 2, ObjectiveKind.CRITICAL_COUNT: 3}
 
 
 @dataclass(frozen=True)
@@ -99,48 +100,42 @@ _BEAM_NODE_CAP = 1_000_000
 _EXHAUSTIVE_NODE_CAP = 200_000
 
 
-# A position is its events and strand counts, the counts patched from its
-# parent's.  A trail is None at the start word, else (the parent's trail,
-# the move from the parent): the trace as a parent-pointer chain, unwound once.
-_Candidate = tuple[tuple, tuple, tuple, Optional[tuple]]  # (key, events, counts, trail)
+# A position is its events.  A trail is None at the start word, else (the
+# parent's trail, the move from the parent): the trace as a parent-pointer
+# chain, unwound once.
+_Candidate = tuple[tuple, tuple, Optional[tuple]]  # (key, events, trail)
 
 
 def _result(best: _Candidate, visited: int, start: MorseWord) -> SearchResult:
     """The result, its word built by the validating constructor, which must
-    give the candidate's patched counts and the start's component count."""
-    key, events, counts, trail = best
+    give the start's component count."""
+    key, events, trail = best
     moves = []
     while trail is not None:
         trail, move = trail
         moves.append(move)
     word = MorseWord(events)
-    if word.counts != counts or word.component_count != start.component_count:
-        raise InvalidMove(f"the patched counts of {word} differ from its simulation")
+    if word.component_count != start.component_count:
+        raise InvalidMove(f"{word} has another component count than {start}")
     report = embedding_report(word) if word.is_knot else None
     return SearchResult(word, report, tuple(reversed(moves)), visited, key)
 
 
 def _child(
-    objective: Objective, parent: _Candidate, move: Move, end: int, events: tuple, rewrite: tuple
+    objective: Objective, parent: _Candidate, move: Move, events: tuple, rewrite: tuple
 ) -> _Candidate:
     """The candidate of the new position ``events``, made by ``move`` (its
-    window ends at ``end``; ``rewrite`` is its moves._rewrite entry).  Its
-    counts are the parent's outside the window and the rewrite's inside.  A
-    flat rewrite keeps every key; the width and critical-count keys change by
-    the rewrite's change, and the others are read off the new levels."""
-    key, ev, counts, trail = parent
-    local, flat = rewrite[1], rewrite[2]
-    if local is None:
-        word = " ".join(map(str, ev))
-        raise InvalidMove(f"{move} changed the component count or the strands of {word}")
-    counts = counts[: move.site] + local + counts[end + 1 :]
-    if not flat:
+    moves._rewrite entry is ``rewrite``).  A flat rewrite keeps every key;
+    the width and critical-count keys change by the rewrite's change, and
+    the others are read off the levels of the new strand counts."""
+    key, _, trail = parent
+    if not rewrite[1]:
         field = _DELTA_FIELDS.get(objective.kind)
         if field is None:
-            key = _PROFILE_KEYS[objective.kind](LevelProfile(levels(counts)))
+            key = _PROFILE_KEYS[objective.kind](LevelProfile(levels(_counts(events))))
         else:
             key = (key[0] + rewrite[field],)
-    return (key, events, counts, (trail, move))
+    return (key, events, (trail, move))
 
 
 def _frontier_search(
@@ -159,26 +154,26 @@ def _frontier_search(
     given, offer the best and form the next frontier: the first ``keep``, or all."""
     max_len = len(start.events) + insertion_budget
     visited = {canonical_key(start)}
-    best: _Candidate = (objective.key(start), start.events, start.counts, None)
+    best: _Candidate = (objective.key(start), start.events, None)
     frontier = [best]
 
     for _ in range(steps):
         candidates: list[_Candidate] = []
         for parent in frontier:
-            _, ev, counts, _ = parent
-            for k, kind, rule, params in _sites(ev, counts, max_len - len(ev), _site):
+            ev = parent[1]
+            for k, n, kind, rule, params in _sites(ev, max_len - len(ev)):
                 # Key first, build only new positions.  Equal keys differ only
                 # by distant crossing swaps, which keep index validity, counts
                 # and component count: the word first seen with a key has them.
                 end = k + rule.width
-                rewrite = _rewrite(rule, ev[k:end], params, counts[k])
+                rewrite = _rewrite(rule, ev[k:end], params, n)
                 events = ev[:k] + rewrite[0] + ev[end:]
                 seen = len(visited)
                 visited.add(canonical_key(events))  # one hash per key
                 if len(visited) == seen:
                     continue
                 move = Move(kind, k, params)
-                candidates.append(_child(objective, parent, move, end, events, rewrite))
+                candidates.append(_child(objective, parent, move, events, rewrite))
                 if len(visited) > node_cap:
                     best = min([best, *candidates], key=itemgetter(0))
                     raise BudgetExceeded(

@@ -178,6 +178,11 @@ class TestExitCodes:
         assert code == 1
         assert "invalid input" in err
 
+    def test_unreadable_path_is_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid input: ") and str(tmp_path) in err
+
     def test_unknown_catalog_is_1(self, capsys):
         code, _, err = run(capsys, "analyze", "catalog:nope")
         assert code == 1

@@ -1,10 +1,12 @@
-"""Budgeted move enumeration, the ZigZagInsert parameter order, and the
-identity hashes of the enum members that key sets and dicts."""
+"""Budgeted move enumeration, the strand counts its scan sums, the
+ZigZagInsert parameter order, and the identity hashes of the enum members
+that key sets and dicts."""
 
 import random
 
 import pytest
 
+import morsewidth.moves as moves_mod
 from conftest import random_closed_word
 from morsewidth.events import EventKind
 from morsewidth.moves import LENGTH_DELTA, MoveKind, _zigzag_insert_params, enumerate_moves
@@ -16,6 +18,18 @@ def test_zigzag_insert_params_are_listed_sorted(strands_below):
     left = [(i, "left") for i in range(2, strands_below + 2)]
     right = [(i, "right") for i in range(1, strands_below + 1)]
     assert _zigzag_insert_params((), strands_below) == sorted(left + right)
+
+
+def test_running_counts_equal_the_simulated_counts():
+    rng = random.Random(2026)
+    pairs = 0
+    for _ in range(400):
+        word = random_closed_word(rng)
+        assert moves_mod._counts(word.events) == word.counts, str(word)
+        sites = [(k, n) for k, n, *_ in moves_mod._sites(word.events, None)]
+        assert all(n == word.counts[k] for k, n in sites), str(word)
+        pairs += len(sites)
+    assert pairs > 10_000
 
 
 @pytest.mark.parametrize("max_delta", range(-2, 3))

@@ -33,6 +33,7 @@ from morsewidth.invariants import (
     waist_upper_bound,
     width,
 )
+from morsewidth.moves import enumerate_moves
 from morsewidth.search import classify_positions
 from morsewidth.textio import serialize
 from oracles import oracle_gaps, oracle_width
@@ -284,6 +285,7 @@ class TestTangleTrunk:
             lambda t: _load_closed(serialize(t)),
             lambda t: connected_sum(t, TREFOIL),
             lambda t: connected_sum(TREFOIL, t),
+            enumerate_moves,
         ],
     )
     def test_level_invariants_refuse_tangles(self, name, invariant):

@@ -1,10 +1,10 @@
 """The frontier loop keys a spliced candidate before it builds a position.
 
-A search patches one position (events and strand counts) from its parent
-per new position and none for a duplicate; the only whole word it
-simulates is the one it returns.  Skipping duplicates is sound because
-words sharing a canonical key share their strand counts and component
-count.  Events are tuples, so keys hash in C.
+A search splices one position (its events) from its parent per new
+position and none for a duplicate; the only whole word it simulates is
+the one it returns.  Skipping duplicates is sound because words sharing
+a canonical key share their strand counts and component count.  Events
+are tuples, so keys hash in C.
 """
 
 import random
@@ -41,8 +41,7 @@ def simulations(monkeypatch):
 
 @pytest.fixture
 def patched(monkeypatch):
-    """Every position a search patches from its parent: (key, events,
-    counts, trail)."""
+    """Every position a search splices from its parent: (key, events, trail)."""
     positions = []
     original = search_mod._child
 
@@ -79,7 +78,7 @@ def test_search_patches_each_new_position_once(patched, search):
     result = search(start)
     assert result.visited > 500
     assert len(patched) == result.visited - 1
-    assert len({events for _, events, _, _ in patched}) == len(patched)
+    assert len({events for _, events, _ in patched}) == len(patched)
 
 
 def test_component_change_is_refused_inside_a_search(patch_rule):

@@ -1,10 +1,10 @@
-"""A search patches each new position (its events and strand counts) from
-its parent instead of simulating it, and two caches feed it: the moves
-valid at a site and the checked rewrite of a window.
+"""A search splices each new position's events from its parent's instead
+of simulating them, and two caches feed it: the moves valid at a site and
+the checked rewrite of a window.
 
-Every patched position must equal the validating constructor's word
-(counts, component count and objective key), the boundary matching that
-licenses a patch must agree with the independent component walk of
+Every spliced position must equal the validating constructor's word
+(component count and objective key), the boundary matching that licenses
+a splice must agree with the independent component walk of
 ``tests/oracles.py``, and a rewrite that breaks locality must be refused.
 A rule replaced in the table is seen by the next search once both caches
 are emptied, as the ``patch_rule`` fixture does.
@@ -32,8 +32,8 @@ def children(monkeypatch):
     made = []
     original = search_mod._child
 
-    def recording(objective, parent, move, end, events, rewrite):
-        candidate = original(objective, parent, move, end, events, rewrite)
+    def recording(objective, parent, move, events, rewrite):
+        candidate = original(objective, parent, move, events, rewrite)
         made.append((objective, parent[1], move, candidate))
         return candidate
 
@@ -72,10 +72,9 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     visited += sum(result.visited - 1 for result in random_searches(objective))
     assert len(children) == visited > 5000
     kept_key = 0
-    for searched_for, parent_events, move, (key, events, counts, trail) in children:
+    for searched_for, parent_events, move, (key, events, trail) in children:
         assert searched_for is objective and trail[1] is move
         parent, simulated = MorseWord(parent_events), MorseWord(events)
-        assert counts == simulated.counts, str(simulated)
         assert simulated.component_count == parent.component_count
         assert key == objective.key(simulated), str(simulated)
         assert apply_move(parent, move) == simulated
@@ -118,16 +117,12 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
     rng = random.Random(11)
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        for k, kind, rule, params in moves_mod._sites(
-            word.events, word.counts, None, moves_mod._site
-        ):
+        for k, n, kind, rule, params in moves_mod._sites(word.events, None):
             end = k + rule.width
             window = word.events[k:end]
-            entry = moves_mod._rewrite(rule, window, params, word.counts[k])
-            new, local, flat, width_change, critical_change = entry
-            assert local is not None, (str(word), kind, k, params)
+            new, flat, width_change, critical_change = moves_mod._rewrite(rule, window, params, n)
             out = apply_move(word, Move(kind, k, params))
-            assert out.counts == word.counts[:k] + local + word.counts[end + 1 :]
+            assert out.events == word.events[:k] + new + word.events[end:]
             levels = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
             assert flat is (levels == [c for c, d in zip(word.counts, word.counts[1:]) if c != d])
             assert width_change == level_profile(out).width - level_profile(word).width
@@ -159,18 +154,18 @@ def test_search_refuses_a_rewrite_that_is_not_local(patch_rule, name, exhaustive
 
 
 @pytest.mark.parametrize("exhaustive", [False, True], ids=["beam", "exhaustive"])
-def test_result_refuses_counts_that_differ_from_its_word(monkeypatch, exhaustive):
-    # Every checked rewrite claims counts 2 higher: no local check sees it,
-    # so only the whole word the search returns can.
+def test_result_refuses_another_component_count(monkeypatch, exhaustive):
+    # Every checked rewrite gains a small closed loop and claims to thin the
+    # word: no local check sees it, so only the whole word returned can.
     original = moves_mod._rewrite
 
-    def lifted(*args):
-        new, local, *rest = original(*args)
-        return (new, local and tuple(c + 2 for c in local), *rest)
+    def looped(*args):
+        new, *_ = original(*args)
+        return (new + (cup(1), cap(1)), False, -100, -100)
 
-    monkeypatch.setattr(search_mod, "_rewrite", lifted)
+    monkeypatch.setattr(search_mod, "_rewrite", looped)
     start = catalog("padded_trefoil")
-    with pytest.raises(InvalidMove, match="patched counts"):
+    with pytest.raises(InvalidMove, match="another component count"):
         if exhaustive:
             exhaustive_min(start, radius=1)
         else:

@@ -2,12 +2,13 @@
 
 The moves of a site and the checked rewrite of a window are facts of the
 rule table, so one cache of each serves every search: a second identical
-search makes no local check at all.  Each cache is bounded, least recently
-used out, and a search reads the same moves from a small cache as from a
-large one; a one-off ``enumerate_moves`` caches nothing.  The width and
-critical-count keys of
-a new position are its parent's key plus the window's change, so a width
-search builds no level profile for its candidates.  ``canonical_key``
+search makes no local check at all.  ``enumerate_moves`` reads the same
+site cache, and the insertion rules' moves at one strand count are one
+shared list.  Each cache is bounded, least recently used out, and a
+search reads the same moves from a small cache as from a large one.  The
+width and critical-count keys of a new position are its parent's key plus
+the window's change, so a width search builds no level profile for its
+candidates.  ``canonical_key``
 scans once and sorts only the sequences that need it; it must equal the
 bubble passes of ``tests/oracles.py`` on every input.
 """
@@ -73,12 +74,12 @@ def test_small_caches_give_the_same_search(monkeypatch):
     search = SEARCHES[1]
     start = pad_with_fingers(catalog("trefoil_plat"), 1)
     first = search(start)
-    for name in ("_site", "_rewrite"):
+    for module, name in ((moves_mod, "_site"), (search_mod, "_rewrite")):
         small = functools.lru_cache(maxsize=4)(getattr(moves_mod, name).__wrapped__)
-        monkeypatch.setattr(search_mod, name, small)
+        monkeypatch.setattr(module, name, small)
     second = search(start)
     assert search_mod._rewrite.cache_info().currsize == 4
-    assert search_mod._site.cache_info().misses > 100
+    assert moves_mod._site.cache_info().misses > 100
     assert (second.best_word, second.trace, second.visited) == (
         first.best_word,
         first.trace,
@@ -87,11 +88,14 @@ def test_small_caches_give_the_same_search(monkeypatch):
 
 
 def sized_caches(monkeypatch, site_size, rewrite_size):
-    """New ``_site`` and ``_rewrite`` caches of these sizes where ``search`` looks them up."""
-    for name, size in (("_site", site_size), ("_rewrite", rewrite_size)):
+    """New ``_site`` and ``_rewrite`` caches of these sizes where a search looks them up."""
+    for module, name, size in (
+        (moves_mod, "_site", site_size),
+        (search_mod, "_rewrite", rewrite_size),
+    ):
         cache = functools.lru_cache(maxsize=size)(getattr(moves_mod, name).__wrapped__)
-        monkeypatch.setattr(search_mod, name, cache)
-    return search_mod._site, search_mod._rewrite
+        monkeypatch.setattr(module, name, cache)
+    return moves_mod._site, search_mod._rewrite
 
 
 @pytest.mark.parametrize("over", [False, True])
@@ -117,14 +121,26 @@ def test_a_search_empties_memos_over_their_cap(local_checks, monkeypatch, over):
     )
 
 
-def test_enumerate_moves_fills_no_cache(cold_memos):
+def test_a_search_reads_the_sites_enumerate_moves_cached(cold_memos):
     start = catalog("padded_trefoil")
+    assert len(enumerate_moves(start)) > 100
+    filled = moves_mod._site.cache_info()
+    assert filled.currsize > 0
     exhaustive_min(start, radius=1)
-    held = moves_mod._site.cache_info().currsize
-    assert held > 0
-    moves = enumerate_moves(pad_with_fingers(catalog("bt134"), 2))
-    assert len(moves) > 100
-    assert moves_mod._site.cache_info().currsize == held
+    # Radius 1 scans the start's sites alone, and each one is cached already.
+    after = moves_mod._site.cache_info()
+    assert (after.hits, after.misses) == (filled.hits + len(start.events) + 1, filled.misses)
+
+
+def test_site_entries_at_one_strand_count_share_their_insertion_lists(cold_memos):
+    n = 4
+    entries = [moves_mod._site(window, n) for window in ((cup(1), cap(2)), (cross(1, 1),), ())]
+    found = [{kind: moves for kind, _, moves in entry} for entry in entries]
+    for kind in (MoveKind.ZIGZAG_INSERT, MoveKind.R2_INSERT):
+        first, *others = [moves[kind] for moves in found]
+        assert first and all(moves is first for moves in others)
+    wider = {kind: moves for kind, _, moves in moves_mod._site((), n + 2)}
+    assert wider[MoveKind.ZIGZAG_INSERT] is not found[0][MoveKind.ZIGZAG_INSERT]
 
 
 def test_memo_keys_hold_the_rules_themselves(cold_memos):
