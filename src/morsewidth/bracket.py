@@ -35,7 +35,7 @@ other P shifted by one digit; delta is -(P << b) - (P >> b).
 Exactness needs only the offset O: int adds and shifts are exact however
 large a digit grows, and a right shift only needs every term at digit 1
 or above.  A crossing moves an exponent by at most 3 (A^-1 times
-delta's A^-2), a cap by at most 2, and the last cap (its loop counts 1)
+delta's A^-2), a cap by at most 2, and the last cap (never swept)
 by 0.  So with c crossings and k caps every |exponent| <= M = 3c + 2k - 2,
 and O = (M + 1) // 2 keeps every term in digits 0 to 2O.  The width b
 only has to hold the final coefficients as signed digits in [-B/2, B/2).
@@ -193,8 +193,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
     bits = (3**c << loops).bit_length() + 1
     states: dict[int, int] = {0: 1 << (offset * bits)}
     odd = False  # whether the states' exponents are odd
-    last = len(word.events) - 1
-    for pos, e in enumerate(word.events):
+    for e in word.events[:-1]:  # the last cap's loop counts 1
         i = e.index - 1
         nxt: dict[int, int] = {}
         if e.kind is EventKind.CUP:
@@ -204,7 +203,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
             while states:  # popping frees each old state once it is used
                 x, poly = states.popitem()
                 x, loop = _cap(x, i)
-                if loop and pos != last:  # the last loop counts 1, not delta
+                if loop:
                     poly = -(poly << bits) - (poly >> bits)
                 nxt[x] = nxt.get(x, 0) + poly
         else:
@@ -222,7 +221,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
                 nxt[x] = nxt.get(x, 0) + poly
             odd = not odd
         states = nxt
-    p, coeffs = states[0], {}
+    p, coeffs = states[0b01], {}  # two strands, each the other's partner
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     for exponent in range(odd - 2 * offset, 2 * offset + 2, 2):  # digits 0 to 2O
         digit = ((p + half) & mask) - half  # the signed digit in [-B/2, B/2)

@@ -22,9 +22,10 @@ from .moves import Move, MoveKind, apply_move
 def realize_profile(widths: Sequence[int]) -> MorseWord:
     """Crossingless closed word whose gap profile is exactly ``widths``.
 
-    Ascents are cups at position 1; each descent caps the leftmost pair
-    of strands belonging to two different open arcs, which always exists
-    above two strands and keeps the word single-component.
+    Every level's strands pair up by arc as (1,2), (3,4), ...: a cup at 1
+    adds a pair, and a cap at 2 joins the first two arcs into the new first
+    pair.  So ascents are cup(1) and descents cap(2); only the last event,
+    cap(1), closes a loop, and the word is one component.
     """
     widths = list(widths)
     if not widths:
@@ -39,19 +40,8 @@ def realize_profile(widths: Sequence[int]) -> MorseWord:
             raise ValueError(f"profile must step by 2, got {a} -> {b}")
 
     events: list[MorseEvent] = [cup(1)]
-    slots = [0, 0]  # arc class per strand
-    fresh = 1
     for prev, cur in zip(widths, widths[1:]):
-        if cur > prev:
-            events.append(cup(1))
-            slots[0:0] = [fresh, fresh]
-            fresh += 1
-        else:
-            j = next(j for j in range(1, len(slots)) if slots[j - 1] != slots[j])
-            events.append(cap(j))
-            a, b = slots[j - 1], slots[j]
-            del slots[j - 1 : j + 1]
-            slots = [a if x == b else x for x in slots]
+        events.append(cup(1) if cur > prev else cap(2))
     events.append(cap(1))
     return MorseWord(events)
 

@@ -8,12 +8,14 @@ Sources accepted anywhere a word is expected:
 * anything else         parsed directly as the text format
 
 Exit codes: 0 success, 1 validation failure, 2 syntax error, 3 budget
-exhausted.
+exhausted.  A closed stdout (a broken pipe) ends the command quietly with
+status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -49,8 +51,12 @@ def _load(source: str) -> Union[MorseWord, TangleWord]:
             raise ValueError(f"profile needs comma-separated integers, got {raw!r}")
         return realize_profile(widths)
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:  # a directory, say, or no permission
+            raise ValueError(str(exc)) from exc
+        return parse(text)
     return parse(source)
 
 
@@ -198,16 +204,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head`): end quietly, as Python's signal docs
+        # advise, with stdout on devnull so that the flush at exit cannot
+        # fail again.  In process, stdout may have no descriptor.
+        with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, UnknownName, OSError) as exc:  # bad words, moves, brackets, names, files
-        # A KeyError's str quotes its message; an OSError's first arg is its errno.
-        message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
+    except (ValueError, UnknownName) as exc:  # bad words, moves, brackets, names, files
+        message = exc.args[0] if exc.args else exc  # a KeyError's str quotes its message
         print(f"invalid input: {message}", file=sys.stderr)
         return 1
 

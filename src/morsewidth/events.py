@@ -13,8 +13,11 @@ horizontal level:
 Indices are 1-based.  A knot/link word starts and ends with zero strands;
 a tangle word starts at the (even) number of boundary strands and ends at
 zero, and may not close any component.  Validity is local arithmetic on
-counts and indices; component structure is traced by linking each open
-strand end to the far end of its arc.
+counts and indices: on n strands a cup's index runs from 1 to n + 1, a cap's
+(n >= 2) and a crossing's from 1 to n - 1.  Component structure is traced
+by linking each open strand end to the far end of its arc.  A knot word
+that traces to several components has one violation, MultipleComponents
+at its end, and ``require_knot`` raises that same violation.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ def cross(index: int, sign: int) -> MorseEvent:
     return MorseEvent(EventKind.CROSS, index, sign)
 
 
+_KIND_NAMES = {EventKind.CUP: "cup", EventKind.CAP: "cap", EventKind.CROSS: "crossing"}
+
+
 class _Trace(NamedTuple):
     counts: tuple[int, ...]
     violations: tuple[Violation, ...]
@@ -105,52 +111,40 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
     closed = 0
     CUP, CAP = EventKind.CUP, EventKind.CAP
 
-    for pos, ev in enumerate(events):
+    for pos, (kind, i, _) in enumerate(events):
         n = len(slots)
-        i = ev.index
-        kind = ev.kind
-        if kind is CUP:
-            if not 1 <= i <= n + 1:
-                violations.append(
-                    Violation("BadIndex", pos, f"cup index {i} outside 1..{n + 1}")
-                )
-            else:
-                a = len(other)
-                other += (a + 1, a)
-                slots[i - 1 : i - 1] = (a, a + 1)
+        top = n + 1 if kind is CUP else n - 1  # the highest valid index
+        if kind is CAP and n < 2:
+            violations.append(
+                Violation("NegativeCount", pos, f"cap with only {n} strands")
+            )
+        elif not 1 <= i <= top:
+            violations.append(
+                Violation("BadIndex", pos, f"{_KIND_NAMES[kind]} index {i} outside 1..{top}")
+            )
+        elif kind is CUP:
+            a = len(other)
+            other += (a + 1, a)
+            slots[i - 1 : i - 1] = (a, a + 1)
         elif kind is CAP:
-            if n < 2:
-                violations.append(
-                    Violation("NegativeCount", pos, f"cap with only {n} strands")
-                )
-            elif not 1 <= i <= n - 1:
-                violations.append(
-                    Violation("BadIndex", pos, f"cap index {i} outside 1..{n - 1}")
-                )
-            else:
-                a, b = slots[i - 1], slots[i]
-                far_a, far_b = other[a], other[b]
-                if far_a == b:
-                    closed += 1
-                    if tangle:
-                        violations.append(
-                            Violation(
-                                "MultipleComponents",
-                                pos,
-                                "cap closes a component inside a tangle",
-                            )
+            a, b = slots[i - 1], slots[i]
+            far_a, far_b = other[a], other[b]
+            if far_a == b:
+                closed += 1
+                if tangle:
+                    violations.append(
+                        Violation(
+                            "MultipleComponents",
+                            pos,
+                            "cap closes a component inside a tangle",
                         )
-                else:
-                    other[far_a] = far_b
-                    other[far_b] = far_a
-                del slots[i - 1 : i + 1]
-        else:  # CROSS
-            if not 1 <= i <= n - 1:
-                violations.append(
-                    Violation("BadIndex", pos, f"crossing index {i} outside 1..{n - 1}")
-                )
+                    )
             else:
-                slots[i - 1], slots[i] = slots[i], slots[i - 1]
+                other[far_a] = far_b
+                other[far_b] = far_a
+            del slots[i - 1 : i + 1]
+        else:  # CROSS
+            slots[i - 1], slots[i] = slots[i], slots[i - 1]
         counts.append(len(slots))
 
     if slots:
@@ -291,14 +285,6 @@ def require_knot(word: MorseWord) -> MorseWord:
     """Guard for knot-level operations; tangles raise ValueError, links
     MultipleComponents."""
     require_closed(word, "a knot operation")
-    if not isinstance(word, MorseWord) or not word.is_knot:
-        raise ValidationError(
-            [
-                Violation(
-                    "MultipleComponents",
-                    len(word.events),
-                    f"{word.component_count} closed components, expected 1",
-                )
-            ]
-        )
+    if not word.is_knot:
+        raise ValidationError(validate(word.events))
     return word

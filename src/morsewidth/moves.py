@@ -272,7 +272,7 @@ def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]
 def apply_move(word: MorseWord, move: Move) -> MorseWord:
     """Apply one move; InvalidMove if its predicate fails at the site or the
     result has another component count."""
-    ev = word.events
+    ev = require_closed(word, "a move").events
     k = move.site
     rule = _RULES[move.kind]
     end = k + rule.width

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, sources, exit codes, JSON shape."""
 
+import errno
+import io
 import json
+import sys
 
 import pytest
 
@@ -182,6 +185,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "analyze", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("invalid input: ") and str(tmp_path) in err
+
+    def test_broken_pipe_is_a_quiet_1(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):  # a reader that has gone, as after `| head`
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["analyze", "catalog:trefoil_plat"])
+        assert (code, capsys.readouterr()) == (1, ("", ""))
 
     def test_unknown_catalog_is_1(self, capsys):
         code, _, err = run(capsys, "analyze", "catalog:nope")

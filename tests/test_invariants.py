@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_bridge_word, random_closed_word, random_knot_word
 from morsewidth.bracket import jones_normalized, kauffman_bracket, writhe
-from morsewidth.catalog import catalog
+from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.cli import _load_closed
 from morsewidth.errors import ValidationError
 from morsewidth.events import EventKind, MorseWord, TangleWord, cap, cross, cup, require_knot
@@ -33,7 +33,7 @@ from morsewidth.invariants import (
     waist_upper_bound,
     width,
 )
-from morsewidth.moves import enumerate_moves
+from morsewidth.moves import Move, MoveKind, apply_move, enumerate_moves, inverse_move
 from morsewidth.search import classify_positions
 from morsewidth.textio import serialize
 from oracles import oracle_gaps, oracle_width
@@ -286,6 +286,9 @@ class TestTangleTrunk:
             lambda t: connected_sum(t, TREFOIL),
             lambda t: connected_sum(TREFOIL, t),
             enumerate_moves,
+            lambda t: apply_move(t, Move(MoveKind.R2_INSERT, 0, (1, 1))),
+            lambda t: inverse_move(t, Move(MoveKind.R2_INSERT, 0, (1, 1))),
+            pad_with_fingers,
         ],
     )
     def test_level_invariants_refuse_tangles(self, name, invariant):

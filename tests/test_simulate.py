@@ -105,3 +105,17 @@ def test_tangle_refuses_a_closed_component():
         ("MultipleComponents", 1)
     ]
     assert oracle_components(events, 2)[2] == [("MultipleComponents", 1)]
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([cup(3)], "BadIndex at event 0: cup index 3 outside 1..1"),
+        ([cap(1)], "NegativeCount at event 0: cap with only 0 strands"),
+        ([cup(1), cap(2), cap(1)], "BadIndex at event 1: cap index 2 outside 1..1"),
+        ([cup(1), cross(2, 1), cap(1)], "BadIndex at event 1: crossing index 2 outside 1..1"),
+    ],
+)
+def test_each_kind_names_itself_in_its_violation(events, message):
+    """The text a user reads: the kind's name, the index and its range."""
+    assert [str(v) for v in validate(events)] == [message]
