@@ -7,9 +7,10 @@ Sources accepted anywhere a word is expected:
 * a file path           parsed as the text format
 * anything else         parsed directly as the text format
 
-Exit codes: 0 success, 1 validation failure, 2 syntax error, 3 budget
-exhausted.  A closed stdout (a broken pipe) ends the command quietly with
-status 1.
+JSON goes out as one compact line into a pipe or a file and indented on a
+terminal.  Exit codes: 0 success, 1 validation failure, 2 syntax error, 3
+budget exhausted.  A closed stdout (a broken pipe) ends the command quietly
+with status 1.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _load(source: str) -> Union[MorseWord, TangleWord]:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # json's C encoder runs only without indent, so indent just for a person.
+    print(json.dumps(obj, indent=2 if sys.stdout.isatty() else None))
 
 
 def _word_json(report) -> dict:

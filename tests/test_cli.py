@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, sources, exit codes, JSON shape."""
 
+import contextlib
 import errno
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import morsewidth
 from morsewidth.cli import main
 
 TREFOIL = "b1 b2 x3- x3- x3- d2 d1"
@@ -167,6 +171,65 @@ class TestCatalogRender:
         code, out, err = run(capsys, "render", f"catalog:{name}", "--format", fmt)
         assert (code, out) == (1, "")
         assert "needs a closed word" in err
+
+
+# Every command that prints JSON, on the inputs of the cases above.
+JSON_COMMANDS = [
+    ("analyze", TREFOIL),
+    ("analyze", "catalog:rational_tangle"),
+    ("optimize", "catalog:padded_trefoil"),
+    ("sum", "catalog:trefoil_plat", "catalog:trefoil_plat"),
+    ("bracket", "catalog:trefoil_plat"),
+]
+
+
+class TestLayout:
+    """One compact line into a pipe or a file, indented on a terminal."""
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+    def test_one_line_off_a_terminal(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+    def test_indented_on_a_terminal(self, capsys, monkeypatch, argv):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        _, compact, _ = run(capsys, *argv)
+        terminal = Terminal()
+        monkeypatch.setattr(sys, "stdout", terminal)
+        assert main(list(argv)) == 0
+        assert terminal.getvalue() == json.dumps(json.loads(compact), indent=2) + "\n"
+
+    @pytest.mark.skipif(not hasattr(os, "openpty"), reason="no pseudo-terminals here")
+    def test_indented_on_a_real_terminal(self, capsys):
+        argv = ["analyze", "catalog:trefoil_plat"]
+        _, compact, _ = run(capsys, *argv)
+        src = os.path.dirname(os.path.dirname(morsewidth.__file__))
+        controller, terminal = os.openpty()
+        chunks = []
+        try:
+            with subprocess.Popen(
+                [sys.executable, "-m", "morsewidth.cli", *argv],
+                stdout=terminal,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+            ) as child:
+                os.close(terminal)
+                with contextlib.suppress(OSError):  # EIO on Linux once the child is done
+                    while chunk := os.read(controller, 4096):
+                        chunks.append(chunk)
+                err = child.stderr.read()
+        finally:
+            os.close(controller)
+        assert (child.returncode, err) == (0, b"")
+        # The terminal's line discipline turns each newline into CR LF.
+        out = b"".join(chunks).replace(b"\r\n", b"\n").decode("utf-8")
+        assert out == json.dumps(json.loads(compact), indent=2) + "\n"
 
 
 class TestExitCodes:
