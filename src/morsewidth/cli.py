@@ -68,7 +68,7 @@ def _emit(obj) -> None:
 
 def _word_json(report) -> dict:
     out = report.as_dict()
-    out["gaps"] = [{"width": g.width, "class": g.classification} for g in report.gaps]
+    out["gaps"] = [{"width": w, "class": c} for w, c in zip(report.widths, report._classes)]
     return out
 
 

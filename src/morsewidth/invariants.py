@@ -79,11 +79,13 @@ class LevelProfile:
 
     @cached_property
     def thick_widths(self) -> tuple[int, ...]:
-        return tuple(w for w, k in zip(self.widths, self._classes) if k == THICK)
+        lv = self.levels
+        return tuple(w for below, w, above in zip(lv, lv[1:], lv[2:]) if below < w > above)
 
     @property
     def thin_widths(self) -> tuple[int, ...]:
-        return tuple(w for w, k in zip(self.widths, self._classes) if k == THIN)
+        lv = self.levels
+        return tuple(w for below, w, above in zip(lv, lv[1:], lv[2:]) if below > w < above)
 
     @property
     def width(self) -> int:

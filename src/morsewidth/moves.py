@@ -28,10 +28,13 @@ and WRITHE_CHANGING all derive from the table, with no per-kind code.
 
 ``apply_move`` simulates and checks every word it makes.  Every caller
 reads a site's moves from one cache, ``_site``, keyed by the events from
-the site and the strand count below it; a search also caches each checked
-rewrite (``_rewrite``).  Both are under ``functools.lru_cache``, bounded at
-``_MEMO_CAP`` entries each, least recently used out.  A rule replaced in
-``_RULES`` is not seen by a cached site: empty both caches.
+the site and the strand count below it; ``_sites`` yields one entry per
+site and rule, with the rule's whole params list there.  A search also
+caches each checked rewrite (``_rewrite``), whose entry says whether the
+rewrite keeps a word in ``canonical_key`` normal form.  Both caches are
+under ``functools.lru_cache``, bounded at ``_MEMO_CAP`` entries each, least
+recently used out.  A rule replaced in ``_RULES`` is not seen by a cached
+site: empty both caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -252,21 +255,21 @@ def _counts(ev: Sequence[MorseEvent]) -> tuple[int, ...]:
 
 
 def _sites(ev: tuple, max_delta: int | None) -> Iterator[tuple]:
-    """(site, strands below it, kind, rule, params) of each move of
-    ``enumerate_moves`` on the closed word's events ``ev``."""
+    """(site, strands below it, kind, rule, params list) of each rule with
+    moves on the closed word's events ``ev``, one entry per site and rule,
+    in the order of ``enumerate_moves``."""
     for k, n in enumerate(_counts(ev)):
         for kind, rule, found in _site(ev[k : k + _REACH], n):
             if max_delta is None or rule.length_delta <= max_delta:
-                for params in found:
-                    yield k, n, kind, rule, params
+                yield k, n, kind, rule, found
 
 
 def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]:
     """All valid moves, in deterministic order (site, then kind, then
     parameters).  ``max_delta`` leaves out the kinds whose length delta
     exceeds it, as a length budget would; None keeps every kind."""
-    found = _sites(require_closed(word, "a move").events, max_delta)
-    return [Move(kind, k, params) for k, _, kind, _, params in found]
+    entries = _sites(require_closed(word, "a move").events, max_delta)
+    return [Move(kind, k, params) for k, _, kind, _, found in entries for params in found]
 
 
 def apply_move(word: MorseWord, move: Move) -> MorseWord:
@@ -287,15 +290,18 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
 
 @lru_cache(maxsize=_MEMO_CAP)
 def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
-    """(rewrite events, flat, width change, critical change) of a move on
-    ``window`` with ``n0`` strands below it.  The local check traces both as
-    tangles on n0 strands: the rewrite needs valid indices and the window's
-    top count, boundary matching and closed loops, which keeps the strand
-    counts outside the window and the component count in any word, else
-    InvalidMove.  Flat means equal levels.  Both levels end at the same top
-    count, so the Gabai width of any word the move applies to changes by the
-    difference of their sums and its critical count by the difference of
-    their lengths."""
+    """(rewrite events, flat, width change, critical change, keeps order) of
+    a move on ``window`` with ``n0`` strands below it.  The local check
+    traces both as tangles on n0 strands: the rewrite needs valid indices
+    and the window's top count, boundary matching and closed loops, which
+    keeps the strand counts outside the window and the component count in
+    any word, else InvalidMove.  Flat means equal levels.  Both levels end
+    at the same top count, so the Gabai width of any word the move applies
+    to changes by the difference of their sums and its critical count by the
+    difference of their lengths.  Keeps order means that neither the window
+    nor the rewrite holds a crossing and the rewrite is not empty: then no
+    two crossings become adjacent and none is reindexed, so a word in
+    ``canonical_key`` normal form stays in it."""
     new = rule.rewrite(window, params)
     before, after = _simulate(window, n0, False), _simulate(new, n0, False)
     valid = all(v.code == "NonzeroEnd" for v in after.violations)
@@ -304,7 +310,8 @@ def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
         shown = " -> ".join(" ".join(map(str, events)) for events in (window, new))
         raise InvalidMove(f"{shown} on {n0} strands changed the component count or the strands")
     old, now = levels(before.counts), levels(after.counts)
-    return (new, old == now, sum(now) - sum(old), len(now) - len(old))
+    keeps_order = bool(new) and all(e[0] is not EventKind.CROSS for e in (*window, *new))
+    return (new, old == now, sum(now) - sum(old), len(now) - len(old), keeps_order)
 
 
 def inverse_move(word: MorseWord, move: Move) -> Move:

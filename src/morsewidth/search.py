@@ -1,8 +1,11 @@
 """Search over the move graph for good positions of a fixed knot.
 
-A node is a position (key, events, trail); edges are rewrite moves, and
-the strand counts that a move or a key needs are summed from the events.
-Only the word a search returns is built as a validated ``MorseWord``.
+A node is a position (key, events, trail, ordered); edges are rewrite
+moves, and the strand counts that a move or a key needs are summed from
+the events.  Only the word a search returns is built as a validated
+``MorseWord``, and only its trace as ``Move`` objects.  Positions are
+deduplicated by ``canonical_key``; an ordered position is its own key, and
+so is its child by a rewrite that keeps order, which needs no scan.
 The searches never return a word worse than their input under the chosen
 objective, and beam search is deterministic for a fixed seed: candidates
 are generated in a fixed order and sorted by (objective key, one seeded
@@ -27,7 +30,7 @@ from .invariants import (
     level_profile,
     levels,
 )
-from .moves import Move, _counts, _rewrite, _sites, canonical_key
+from .moves import Move, MoveKind, _counts, _rewrite, _sites, canonical_key
 
 
 class ObjectiveKind(Enum):
@@ -100,20 +103,22 @@ _BEAM_NODE_CAP = 1_000_000
 _EXHAUSTIVE_NODE_CAP = 200_000
 
 
-# A position is its events.  A trail is None at the start word, else (the
-# parent's trail, the move from the parent): the trace as a parent-pointer
-# chain, unwound once.
-_Candidate = tuple[tuple, tuple, Optional[tuple]]  # (key, events, trail)
+# A position is its events, with its objective key.  A trail is None at the
+# start word, else (the parent's trail, kind, site, params) of the move from
+# the parent: the trace as a parent-pointer chain, unwound once into Moves.
+# Ordered means the events are their own canonical key (canonical_key
+# returns them as they are).
+_Candidate = tuple[tuple, tuple, Optional[tuple], bool]  # (key, events, trail, ordered)
 
 
 def _result(best: _Candidate, visited: int, start: MorseWord) -> SearchResult:
     """The result, its word built by the validating constructor, which must
     give the start's component count."""
-    key, events, trail = best
+    key, events, trail, _ = best
     moves = []
     while trail is not None:
-        trail, move = trail
-        moves.append(move)
+        trail, kind, site, params = trail
+        moves.append(Move(kind, site, params))
     word = MorseWord(events)
     if word.component_count != start.component_count:
         raise InvalidMove(f"{word} has another component count than {start}")
@@ -122,20 +127,28 @@ def _result(best: _Candidate, visited: int, start: MorseWord) -> SearchResult:
 
 
 def _child(
-    objective: Objective, parent: _Candidate, move: Move, events: tuple, rewrite: tuple
+    objective: Objective,
+    parent: _Candidate,
+    kind: MoveKind,
+    site: int,
+    params: tuple,
+    events: tuple,
+    rewrite: tuple,
+    ordered: bool,
 ) -> _Candidate:
-    """The candidate of the new position ``events``, made by ``move`` (its
-    moves._rewrite entry is ``rewrite``).  A flat rewrite keeps every key;
-    the width and critical-count keys change by the rewrite's change, and
-    the others are read off the levels of the new strand counts."""
-    key, _, trail = parent
+    """The candidate of the new position ``events``, made by the move
+    (kind, site, params), whose moves._rewrite entry is ``rewrite``.  A flat
+    rewrite keeps every key; the width and critical-count keys change by the
+    rewrite's change, and the others are read off the levels of the new
+    strand counts."""
+    key, _, trail, _ = parent
     if not rewrite[1]:
         field = _DELTA_FIELDS.get(objective.kind)
         if field is None:
             key = _PROFILE_KEYS[objective.kind](LevelProfile(levels(_counts(events))))
         else:
             key = (key[0] + rewrite[field],)
-    return (key, events, (trail, move))
+    return (key, events, (trail, kind, site, params), ordered)
 
 
 def _frontier_search(
@@ -153,33 +166,41 @@ def _frontier_search(
     not yet seen (by canonical key).  The new ones, sorted by ``rank`` if
     given, offer the best and form the next frontier: the first ``keep``, or all."""
     max_len = len(start.events) + insertion_budget
-    visited = {canonical_key(start)}
-    best: _Candidate = (objective.key(start), start.events, None)
+    start_key = canonical_key(start.events)
+    visited = {start_key}
+    best: _Candidate = (objective.key(start), start.events, None, start_key is start.events)
     frontier = [best]
 
     for _ in range(steps):
         candidates: list[_Candidate] = []
         for parent in frontier:
-            ev = parent[1]
-            for k, n, kind, rule, params in _sites(ev, max_len - len(ev)):
-                # Key first, build only new positions.  Equal keys differ only
-                # by distant crossing swaps, which keep index validity, counts
-                # and component count: the word first seen with a key has them.
+            ev, ordered = parent[1], parent[3]
+            for k, n, kind, rule, found in _sites(ev, max_len - len(ev)):
                 end = k + rule.width
-                rewrite = _rewrite(rule, ev[k:end], params, n)
-                events = ev[:k] + rewrite[0] + ev[end:]
-                seen = len(visited)
-                visited.add(canonical_key(events))  # one hash per key
-                if len(visited) == seen:
-                    continue
-                move = Move(kind, k, params)
-                candidates.append(_child(objective, parent, move, events, rewrite))
-                if len(visited) > node_cap:
-                    best = min([best, *candidates], key=itemgetter(0))
-                    raise BudgetExceeded(
-                        f"{name} search node cap exceeded",
-                        best=_result(best, len(visited), start),
+                head, window, tail = ev[:k], ev[k:end], ev[end:]
+                for params in found:
+                    # Key first, build only new positions.  Equal keys differ
+                    # only by distant crossing swaps, which keep index
+                    # validity, counts and component count: the word first
+                    # seen with a key has them.
+                    rewrite = _rewrite(rule, window, params, n)
+                    events = head + rewrite[0] + tail
+                    # An ordered word stays ordered under an order-keeping
+                    # rewrite: its key is itself, with no scan.
+                    key = events if ordered and rewrite[4] else canonical_key(events)
+                    seen = len(visited)
+                    visited.add(key)  # one hash per key
+                    if len(visited) == seen:
+                        continue
+                    candidates.append(
+                        _child(objective, parent, kind, k, params, events, rewrite, key is events)
                     )
+                    if len(visited) > node_cap:
+                        best = min([best, *candidates], key=itemgetter(0))
+                        raise BudgetExceeded(
+                            f"{name} search node cap exceeded",
+                            best=_result(best, len(visited), start),
+                        )
         if not candidates:
             break
         if rank is not None:

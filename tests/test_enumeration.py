@@ -26,9 +26,9 @@ def test_running_counts_equal_the_simulated_counts():
     for _ in range(400):
         word = random_closed_word(rng)
         assert moves_mod._counts(word.events) == word.counts, str(word)
-        sites = [(k, n) for k, n, *_ in moves_mod._sites(word.events, None)]
-        assert all(n == word.counts[k] for k, n in sites), str(word)
-        pairs += len(sites)
+        entries = list(moves_mod._sites(word.events, None))
+        assert all(n == word.counts[k] for k, n, *_ in entries), str(word)
+        pairs += sum(len(found) for *_, found in entries)  # moves, not entries
     assert pairs > 10_000
 
 

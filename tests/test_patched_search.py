@@ -7,7 +7,10 @@ Every spliced position must equal the validating constructor's word
 a splice must agree with the independent component walk of
 ``tests/oracles.py``, and a rewrite that breaks locality must be refused.
 A rule replaced in the table is seen by the next search once both caches
-are emptied, as the ``patch_rule`` fixture does.
+are emptied, as the ``patch_rule`` fixture does.  A position in
+``canonical_key`` normal form is flagged ordered, and its children by an
+order-keeping rewrite are keyed by their events with no scan: every flag
+must equal the scan's answer.
 """
 
 import random
@@ -21,7 +24,7 @@ from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseWord, _simulate, cap, cross, cup
 from morsewidth.invariants import level_profile
-from morsewidth.moves import Move, MoveKind, apply_move, enumerate_moves
+from morsewidth.moves import Move, MoveKind, apply_move, canonical_key, enumerate_moves
 from morsewidth.search import Objective, ObjectiveKind, SearchConfig, beam_search, exhaustive_min
 from oracles import oracle_components, oracle_matching
 
@@ -32,9 +35,9 @@ def children(monkeypatch):
     made = []
     original = search_mod._child
 
-    def recording(objective, parent, move, events, rewrite):
-        candidate = original(objective, parent, move, events, rewrite)
-        made.append((objective, parent[1], move, candidate))
+    def recording(objective, parent, kind, site, params, events, rewrite, ordered):
+        candidate = original(objective, parent, kind, site, params, events, rewrite, ordered)
+        made.append((objective, parent[1], Move(kind, site, params), candidate))
         return candidate
 
     monkeypatch.setattr(search_mod, "_child", recording)
@@ -72,14 +75,109 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     visited += sum(result.visited - 1 for result in random_searches(objective))
     assert len(children) == visited > 5000
     kept_key = 0
-    for searched_for, parent_events, move, (key, events, trail) in children:
-        assert searched_for is objective and trail[1] is move
+    for searched_for, parent_events, move, (key, events, trail, _) in children:
+        assert searched_for is objective and Move(*trail[1:]) == move
         parent, simulated = MorseWord(parent_events), MorseWord(events)
         assert simulated.component_count == parent.component_count
         assert key == objective.key(simulated), str(simulated)
         assert apply_move(parent, move) == simulated
         kept_key += key == objective.key(parent)
     assert 0 < kept_key < len(children)
+
+
+@pytest.fixture
+def orders(monkeypatch):
+    """(skipped, events, ordered) of every new position, where skipped means
+    that its parent was ordered and its rewrite keeps order, so that the
+    search took its events as its key with no scan."""
+    made = []
+    original = search_mod._child
+
+    def recording(objective, parent, kind, site, params, events, rewrite, ordered):
+        made.append((parent[3] and rewrite[4], events, ordered))
+        return original(objective, parent, kind, site, params, events, rewrite, ordered)
+
+    monkeypatch.setattr(search_mod, "_child", recording)
+    return made
+
+
+def misordered(made):
+    """The new positions whose ordered flag is not ``canonical_key(events) ==
+    events``, or whose skipped key is not ``canonical_key(events)``.  A wrong
+    skipped key of a duplicate shows here too: the key is its events, not in
+    normal form, so the first position that carries it is new."""
+    return [
+        events
+        for skipped, events, ordered in made
+        if ordered != (canonical_key(events) == events) or (skipped and not ordered)
+    ]
+
+
+def unordered_searches(objective):
+    """Searches from starts that are not in ``canonical_key`` normal form."""
+    rng = random.Random(5)
+    starts = 0
+    while starts < 4:
+        start = random_knot_word(rng, max_events=14, max_crossings=6)
+        if canonical_key(start.events) != start.events:
+            starts += 1
+            yield exhaustive_min(start, objective, radius=2, insertion_budget=1)
+
+
+def every_search(objective):
+    for results in (
+        golden_searches(objective),
+        random_searches(objective),
+        unordered_searches(objective),
+    ):
+        yield from results
+
+
+def test_ordered_flags_equal_the_scan(orders):
+    visited = sum(result.visited - 1 for result in every_search(Objective()))
+    assert len(orders) == visited
+    assert misordered(orders) == []
+    skipped = sum(skipped for skipped, _, _ in orders)
+    ordered = sum(ordered for _, _, ordered in orders)
+    assert 5000 < skipped < ordered < len(orders)
+
+
+def test_a_rewrite_claiming_order_for_crossings_is_caught(monkeypatch, orders):
+    # R2Insert puts two crossings into the word, which may land out of order
+    # next to a crossing already there.
+    r2_insert = moves_mod._RULES[MoveKind.R2_INSERT]
+    original = moves_mod._rewrite
+
+    def claiming(rule, window, params, n0):
+        entry = original(rule, window, params, n0)
+        return entry[:4] + (True,) if rule is r2_insert else entry
+
+    monkeypatch.setattr(search_mod, "_rewrite", claiming)
+    for _ in every_search(Objective()):
+        pass
+    assert len(misordered(orders)) > 100
+
+
+def test_keeps_order_means_no_crossing_in_or_out():
+    rng = random.Random(12)
+    kept, stayed = set(), 0
+    for _ in range(100):
+        word = random_closed_word(rng, max_events=16)
+        ordered = canonical_key(word.events) == word.events
+        for k, n, kind, rule, found in moves_mod._sites(word.events, None):
+            window = word.events[k : k + rule.width]
+            for params in found:
+                new, *_, keeps_order = moves_mod._rewrite(rule, window, params, n)
+                no_crossing = all(e.kind is not EventKind.CROSS for e in window + new)
+                assert keeps_order is (bool(new) and no_crossing)
+                if keeps_order:
+                    kept.add(kind)
+                if keeps_order and ordered:  # an ordered word stays ordered
+                    out = apply_move(word, Move(kind, k, params)).events
+                    assert canonical_key(out) == out
+                    stayed += 1
+    assert kept == {MoveKind.COMMUTE_DISTANT, MoveKind.ZIGZAG_INSERT}
+    assert stayed > 500
 
 
 def random_window(rng: random.Random, n: int, length: int):
@@ -117,17 +215,23 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
     rng = random.Random(11)
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        for k, n, kind, rule, params in moves_mod._sites(word.events, None):
+        for k, n, kind, rule, found in moves_mod._sites(word.events, None):
             end = k + rule.width
             window = word.events[k:end]
-            new, flat, width_change, critical_change = moves_mod._rewrite(rule, window, params, n)
-            out = apply_move(word, Move(kind, k, params))
-            assert out.events == word.events[:k] + new + word.events[end:]
-            levels = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
-            assert flat is (levels == [c for c, d in zip(word.counts, word.counts[1:]) if c != d])
-            assert width_change == level_profile(out).width - level_profile(word).width
-            critical = [sum(e.kind is not EventKind.CROSS for e in w.events) for w in (word, out)]
-            assert critical_change == critical[1] - critical[0]
+            for params in found:
+                new, flat, width_change, critical_change, _ = moves_mod._rewrite(
+                    rule, window, params, n
+                )
+                out = apply_move(word, Move(kind, k, params))
+                assert out.events == word.events[:k] + new + word.events[end:]
+                levels = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
+                below = [c for c, d in zip(word.counts, word.counts[1:]) if c != d]
+                assert flat is (levels == below)
+                assert width_change == level_profile(out).width - level_profile(word).width
+                critical = [
+                    sum(e.kind is not EventKind.CROSS for e in w.events) for w in (word, out)
+                ]
+                assert critical_change == critical[1] - critical[0]
 
 
 # Rewrites that break locality, each swapped into one rule's table entry.
@@ -161,7 +265,7 @@ def test_result_refuses_another_component_count(monkeypatch, exhaustive):
 
     def looped(*args):
         new, *_ = original(*args)
-        return (new + (cup(1), cap(1)), False, -100, -100)
+        return (new + (cup(1), cap(1)), False, -100, -100, False)
 
     monkeypatch.setattr(search_mod, "_rewrite", looped)
     start = catalog("padded_trefoil")
