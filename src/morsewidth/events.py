@@ -119,9 +119,8 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
                 Violation("NegativeCount", pos, f"cap with only {n} strands")
             )
         elif not 1 <= i <= top:
-            violations.append(
-                Violation("BadIndex", pos, f"{_KIND_NAMES[kind]} index {i} outside 1..{top}")
-            )
+            where = f"index {i} outside 1..{top}" if top > 0 else f"with only {n} strands"
+            violations.append(Violation("BadIndex", pos, f"{_KIND_NAMES[kind]} {where}"))
         elif kind is CUP:
             a = len(other)
             other += (a + 1, a)

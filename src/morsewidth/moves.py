@@ -26,15 +26,16 @@ count below it: the kind's only validity predicate) and ``rewrite`` (the
 window's replacement).  Enumeration, application, inverses, LENGTH_DELTA
 and WRITHE_CHANGING all derive from the table, with no per-kind code.
 
-``apply_move`` simulates and checks every word it makes.  Every caller
-reads a site's moves from one cache, ``_site``, keyed by the events from
-the site and the strand count below it; ``_sites`` yields one entry per
-site and rule, with the rule's whole params list there.  A search also
-caches each checked rewrite (``_rewrite``), whose entry says whether the
-rewrite keeps a word in ``canonical_key`` normal form.  Both caches are
-under ``functools.lru_cache``, bounded at ``_MEMO_CAP`` entries each, least
-recently used out.  A rule replaced in ``_RULES`` is not seen by a cached
-site: empty both caches.
+Every caller reads a site's moves from one cache, ``_site``, keyed by the
+events from the site and the strand count below it; ``_sites`` yields one
+entry per site and rule, with the rule's whole params list there.  Every
+rewrite is licensed by the local check of a second cache, ``_rewrite``,
+whose entry also says whether it keeps a word in ``canonical_key`` normal
+form.  A rule's ``params`` and ``rewrite`` are called only in these two
+caches, which ``apply_move`` and ``inverse_move`` read as a search does.
+Both are under ``functools.lru_cache``, bounded at ``_MEMO_CAP`` entries
+each, least recently used out.  A rule replaced in ``_RULES`` is not seen
+by a cached site: empty both caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -273,19 +274,16 @@ def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]
 
 
 def apply_move(word: MorseWord, move: Move) -> MorseWord:
-    """Apply one move; InvalidMove if its predicate fails at the site or the
-    result has another component count."""
-    ev = require_closed(word, "a move").events
-    k = move.site
-    rule = _RULES[move.kind]
-    end = k + rule.width
-    in_range = 0 <= k and end <= len(ev)
-    if not in_range or move.params not in rule.params(ev[k:end], word.counts[k]):
-        raise InvalidMove(f"{move} does not apply to {word}")
-    result = MorseWord(ev[:k] + rule.rewrite(ev[k:end], move.params) + ev[end:])
-    if result.component_count != word.component_count:
-        raise InvalidMove(f"{move} changed the component count of {word}")
-    return result
+    """Apply one move as a search does: its params must be listed at its
+    site (``_site``) and its rewrite pass ``_rewrite``'s local check, else
+    InvalidMove.  The validating MorseWord builds the result."""
+    ev, k = require_closed(word, "a move").events, move.site
+    entries = _site(ev[k : k + _REACH], word.counts[k]) if 0 <= k <= len(ev) else ()
+    for kind, rule, found in entries:
+        if kind is move.kind and move.params in found:
+            new = _rewrite(rule, ev[k : k + rule.width], move.params, word.counts[k])[0]
+            return MorseWord(ev[:k] + new + ev[k + rule.width :])
+    raise InvalidMove(f"{move} does not apply to {word}")
 
 
 @lru_cache(maxsize=_MEMO_CAP)
@@ -316,17 +314,16 @@ def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
 
 def inverse_move(word: MorseWord, move: Move) -> Move:
     """The move that undoes ``move``, to be applied to apply_move's result:
-    the first enumerated move at the same site, of opposite length delta,
-    that maps the result back to ``word``."""
+    the first move listed at the same site of the result, of opposite length
+    delta, whose spliced rewrite gives back ``word``'s events."""
     out = apply_move(word, move)
-    delta = LENGTH_DELTA[move.kind]
-    for back in enumerate_moves(out, -delta):
-        if (
-            back.site == move.site
-            and LENGTH_DELTA[back.kind] == -delta
-            and apply_move(out, back) == word
-        ):
-            return back
+    ev, k, n = out.events, move.site, out.counts[move.site]
+    for kind, rule, found in _site(ev[k : k + _REACH], n):
+        if rule.length_delta == -LENGTH_DELTA[move.kind]:
+            end = k + rule.width
+            for params in found:
+                if ev[:k] + _rewrite(rule, ev[k:end], params, n)[0] + ev[end:] == word.events:
+                    return Move(kind, k, params)
     raise InvalidMove(f"no move undoes {move} on {word}")
 
 

@@ -122,8 +122,10 @@ class TestMoveApplication:
             apply_move(w, Move(MoveKind.YANG_BAXTER, 2))
 
     def test_bad_site_refused(self):
-        with pytest.raises(InvalidMove):
-            apply_move(TREFOIL, Move(MoveKind.ZIGZAG_CANCEL, 99))
+        # Site -7 would slice the word's first events, where an R1Insert fits.
+        for move in Move(MoveKind.ZIGZAG_CANCEL, 99), Move(MoveKind.R1_INSERT, -7, (1, "cup")):
+            with pytest.raises(InvalidMove, match="does not apply"):
+                apply_move(TREFOIL, move)
 
 
 class TestEnumeration:

@@ -3,9 +3,10 @@ of simulating them, and two caches feed it: the moves valid at a site and
 the checked rewrite of a window.
 
 Every spliced position must equal the validating constructor's word
-(component count and objective key), the boundary matching that licenses
-a splice must agree with the independent component walk of
-``tests/oracles.py``, and a rewrite that breaks locality must be refused.
+(component count and objective key) and the table rule's own rewrite, the
+boundary matching that licenses a splice must agree with the independent
+component walk of ``tests/oracles.py``, and a rewrite that breaks locality
+must be refused, by a search and by ``apply_move`` alike.
 A rule replaced in the table is seen by the next search once both caches
 are emptied, as the ``patch_rule`` fixture does.  A position in
 ``canonical_key`` normal form is flagged ordered, and its children by an
@@ -24,7 +25,14 @@ from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseWord, _simulate, cap, cross, cup
 from morsewidth.invariants import level_profile
-from morsewidth.moves import Move, MoveKind, apply_move, canonical_key, enumerate_moves
+from morsewidth.moves import (
+    Move,
+    MoveKind,
+    apply_move,
+    canonical_key,
+    enumerate_moves,
+    inverse_move,
+)
 from morsewidth.search import Objective, ObjectiveKind, SearchConfig, beam_search, exhaustive_min
 from oracles import oracle_components, oracle_matching
 
@@ -80,7 +88,12 @@ def test_patched_candidates_equal_simulated_words(children, kind):
         parent, simulated = MorseWord(parent_events), MorseWord(events)
         assert simulated.component_count == parent.component_count
         assert key == objective.key(simulated), str(simulated)
-        assert apply_move(parent, move) == simulated
+        # The table's own rule, not apply_move, which shares the search's caches.
+        k, rule = move.site, moves_mod._RULES[move.kind]
+        window = parent_events[k : k + rule.width]
+        assert move.params in rule.params(window, parent.counts[k])
+        spliced = parent_events[:k] + rule.rewrite(window, move.params)
+        assert spliced + parent_events[k + rule.width :] == events
         kept_key += key == objective.key(parent)
     assert 0 < kept_key < len(children)
 
@@ -255,6 +268,31 @@ def test_search_refuses_a_rewrite_that_is_not_local(patch_rule, name, exhaustive
             exhaustive_min(start, radius=1, insertion_budget=2)
         else:
             beam_search(start, config=SearchConfig(max_steps=2))
+
+
+@pytest.mark.parametrize(
+    "name, listed", [("loop", 40), ("top count", 40), ("swap", 28), ("bad index", 28)]
+)
+def test_apply_move_refuses_a_rewrite_that_is_not_local(patch_rule, name, listed):
+    # apply_move licenses a move as the search does, by the local check.
+    word = catalog("trefoil_plat")
+    kind, rewrite = BROKEN[name]
+    every = [move for move in enumerate_moves(word) if move.kind is kind]
+    assert len(every) == listed
+    patch_rule(kind, rewrite=rewrite)
+    for move in every:
+        with pytest.raises(InvalidMove, match="component count or the strands"):
+            apply_move(word, move)
+
+
+def test_inverse_move_refuses_when_no_listed_move_undoes(patch_rule):
+    word = catalog("trefoil_plat")
+    every = [move for move in enumerate_moves(word) if move.kind is MoveKind.R2_INSERT]
+    assert len(every) == 28
+    patch_rule(MoveKind.R2_CANCEL, params=lambda w, n: [])
+    for move in every:
+        with pytest.raises(InvalidMove, match="no move undoes"):
+            inverse_move(word, move)
 
 
 @pytest.mark.parametrize("exhaustive", [False, True], ids=["beam", "exhaustive"])

@@ -114,6 +114,7 @@ def test_tangle_refuses_a_closed_component():
         ([cap(1)], "NegativeCount at event 0: cap with only 0 strands"),
         ([cup(1), cap(2), cap(1)], "BadIndex at event 1: cap index 2 outside 1..1"),
         ([cup(1), cross(2, 1), cap(1)], "BadIndex at event 1: crossing index 2 outside 1..1"),
+        ([cross(1, 1)], "BadIndex at event 0: crossing with only 0 strands"),
     ],
 )
 def test_each_kind_names_itself_in_its_violation(events, message):
