@@ -75,7 +75,9 @@ def pad_with_fingers(word: MorseWord, count: int = 1) -> MorseWord:
     """Insert ``count`` cancellable zig-zag fingers at the widest level.
     Each finger adds a thick gap two wider than the current maximum and
     is removable by ZigZagCancel, so the result presents the same knot
-    with strictly larger width."""
+    with strictly larger width.  A negative count raises ValueError."""
+    if count < 0:
+        raise ValueError(f"count must be 0 or more, got {count}")
     for _ in range(count):
         m = max(word.counts)
         finger = Move(MoveKind.ZIGZAG_INSERT, word.counts.index(m), (m, "right"))

@@ -12,12 +12,14 @@ horizontal level:
 
 Indices are 1-based.  A knot/link word starts and ends with zero strands;
 a tangle word starts at the (even) number of boundary strands and ends at
-zero, and may not close any component.  Validity is local arithmetic on
-counts and indices: on n strands a cup's index runs from 1 to n + 1, a cap's
-(n >= 2) and a crossing's from 1 to n - 1.  Component structure is traced
-by linking each open strand end to the far end of its arc.  A knot word
-that traces to several components has one violation, MultipleComponents
-at its end, and ``require_knot`` raises that same violation.
+zero, and may not close any component.  One sweep (``_simulate``) finds
+the local faults: on n strands a cup's index runs from 1 to n + 1, a cap's
+(n >= 2) and a crossing's from 1 to n - 1.  It traces components by linking
+each open strand end to the far end of its arc.  ``_validated_trace`` checks
+the whole-word rules on that trace: a word is not empty, ends on zero
+strands, and as a tangle closes no component.  A knot word that traces to
+several components has one violation, MultipleComponents at its end, and
+``require_knot`` raises that same violation.
 """
 
 from __future__ import annotations
@@ -88,27 +90,29 @@ _KIND_NAMES = {EventKind.CUP: "cup", EventKind.CAP: "cap", EventKind.CROSS: "cro
 
 class _Trace(NamedTuple):
     counts: tuple[int, ...]
-    violations: tuple[Violation, ...]
-    closed_components: int
+    violations: tuple[Violation, ...]  # local faults only
+    closed: tuple[int, ...]  # the positions of the caps that close a component
     matching: tuple[int, ...]  # the point an arc joins to each boundary point
 
 
-def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _Trace:
-    """Single validation pass: counts, index checks, component tracing.
+def _simulate(events: Sequence[MorseEvent], start_count: int) -> _Trace:
+    """The sweep: strand counts, local faults and component tracing.
 
-    Invalid events are skipped (best effort) so that several violations can
-    be reported at once.  Strand slots hold end ids; ``other[e]`` is the far
-    end of e's arc.  The bottom strands start as ends 0..start_count-1
-    whose far ends are the boundary points, ids start_count..2*start_count-1.
-    A cap joining the two ends of one arc closes a component; any other cap
-    links the far ends of the two arcs it joins.  The boundary points are
-    numbered bottom first (0..start_count-1), then the strands open at the top.
+    A local fault (a cap on fewer than 2 strands, an index out of range)
+    skips its event, so that several can be reported at once; the whole-word
+    rules are ``_validated_trace``'s.  Strand slots hold end ids; ``other[e]``
+    is the far end of e's arc.  The bottom strands start as ends
+    0..start_count-1 whose far ends are the boundary points, ids
+    start_count..2*start_count-1.  A cap joining the two ends of one arc
+    closes a component; any other cap links the far ends of the two arcs it
+    joins.  The boundary points are numbered bottom first (0..start_count-1),
+    then the strands open at the top.
     """
     other = [*range(start_count, 2 * start_count), *range(start_count)]
     slots = list(range(start_count))
-    counts = [start_count]
+    counts = [len(slots)]  # a slot count like every later one: 0 for a negative start
     violations: list[Violation] = []
-    closed = 0
+    closed: list[int] = []
     CUP, CAP = EventKind.CUP, EventKind.CAP
 
     for pos, (kind, i, _) in enumerate(events):
@@ -129,15 +133,7 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
             a, b = slots[i - 1], slots[i]
             far_a, far_b = other[a], other[b]
             if far_a == b:
-                closed += 1
-                if tangle:
-                    violations.append(
-                        Violation(
-                            "MultipleComponents",
-                            pos,
-                            "cap closes a component inside a tangle",
-                        )
-                    )
+                closed.append(pos)
             else:
                 other[far_a] = far_b
                 other[far_b] = far_a
@@ -146,34 +142,32 @@ def _simulate(events: Sequence[MorseEvent], start_count: int, tangle: bool) -> _
             slots[i - 1], slots[i] = slots[i], slots[i - 1]
         counts.append(len(slots))
 
-    if slots:
-        violations.append(
-            Violation("NonzeroEnd", len(events), f"{len(slots)} strands left open")
-        )
     point = {e: start_count + p for p, e in enumerate(slots)}  # at the top
     point.update((start_count + j, j) for j in range(start_count))  # at the bottom
     ends = [*range(start_count, 2 * start_count), *slots]
-    return _Trace(tuple(counts), tuple(violations), closed, tuple(point[other[e]] for e in ends))
+    matching = tuple(point[other[e]] for e in ends)
+    return _Trace(tuple(counts), tuple(violations), tuple(closed), matching)
 
 
 def _validated_trace(
     events: tuple[MorseEvent, ...], boundary_strands: int, knot: bool
 ) -> tuple[_Trace | None, list[Violation]]:
-    """One simulation of ``events`` and every violation it shows; the
-    trace is None for an empty closed word, which is not simulated."""
+    """One sweep of ``events`` and every violation it shows, in event order:
+    its local faults and the whole-word rules, which are checked here only.
+    The trace is None for an empty closed word, which is not swept."""
     if not events and boundary_strands == 0:
         return None, [Violation("EmptyWord", 0, "word has no events")]
-    trace = _simulate(events, boundary_strands, tangle=boundary_strands > 0)
-    violations = list(trace.violations)
-    if boundary_strands == 0 and knot and not violations:
-        if trace.closed_components != 1:
-            violations.append(
-                Violation(
-                    "MultipleComponents",
-                    len(events),
-                    f"{trace.closed_components} closed components, expected 1",
-                )
-            )
+    trace = _simulate(events, boundary_strands)
+    violations, end, closed = list(trace.violations), len(events), trace.closed
+    if boundary_strands > 0 and closed:
+        why = "cap closes a component inside a tangle"
+        violations += [Violation("MultipleComponents", pos, why) for pos in closed]
+        violations.sort(key=lambda v: v.position)
+    if trace.counts[-1]:
+        violations.append(Violation("NonzeroEnd", end, f"{trace.counts[-1]} strands left open"))
+    if boundary_strands == 0 and knot and not violations and len(closed) != 1:
+        why = f"{len(closed)} closed components, expected 1"
+        violations.append(Violation("MultipleComponents", end, why))
     return trace, violations
 
 
@@ -200,7 +194,7 @@ class _Word:
         if bad:
             raise ValidationError(bad)
         self.counts: tuple[int, ...] = trace.counts
-        self.component_count: int = trace.closed_components
+        self.component_count: int = len(trace.closed)
 
     def _key(self) -> tuple:
         return self.events

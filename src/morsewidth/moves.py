@@ -290,8 +290,8 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
 def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
     """(rewrite events, flat, width change, critical change, keeps order) of
     a move on ``window`` with ``n0`` strands below it.  The local check
-    traces both as tangles on n0 strands: the rewrite needs valid indices
-    and the window's top count, boundary matching and closed loops, which
+    sweeps both from n0 strands: the rewrite needs no local fault and the
+    window's top count, boundary matching and closed loops, which
     keeps the strand counts outside the window and the component count in
     any word, else InvalidMove.  Flat means equal levels.  Both levels end
     at the same top count, so the Gabai width of any word the move applies
@@ -301,10 +301,9 @@ def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
     two crossings become adjacent and none is reindexed, so a word in
     ``canonical_key`` normal form stays in it."""
     new = rule.rewrite(window, params)
-    before, after = _simulate(window, n0, False), _simulate(new, n0, False)
-    valid = all(v.code == "NonzeroEnd" for v in after.violations)
-    shape = (after.counts[-1], after.matching, after.closed_components)
-    if not valid or shape != (before.counts[-1], before.matching, before.closed_components):
+    before, after = _simulate(window, n0), _simulate(new, n0)
+    shape = (after.counts[-1], after.matching, len(after.closed))
+    if after.violations or shape != (before.counts[-1], before.matching, len(before.closed)):
         shown = " -> ".join(" ".join(map(str, events)) for events in (window, new))
         raise InvalidMove(f"{shown} on {n0} strands changed the component count or the strands")
     old, now = levels(before.counts), levels(after.counts)

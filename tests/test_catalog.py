@@ -175,6 +175,10 @@ class TestPadWithFingers:
         base = catalog("figure8_plat")
         assert pad_with_fingers(base, 0) == base
 
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match=r"^count must be 0 or more, got -3$"):
+            pad_with_fingers(catalog("trefoil_plat"), -3)
+
 
 class TestTorusPlat:
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 2)])

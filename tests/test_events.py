@@ -132,3 +132,18 @@ class TestTangleWord:
         with pytest.raises(ValidationError) as err:
             TangleWord(4, [cap(1)])
         assert "NonzeroEnd" in codes(err.value.violations)
+
+    def test_violations_in_event_order(self):
+        # Loops close at events 1 and 5, around a bad index at event 2; the
+        # end rule comes last.
+        events = [cup(1), cap(1), cross(7, 1), cap(1), cup(1), cap(1)]
+        expected = [
+            "MultipleComponents at event 1: cap closes a component inside a tangle",
+            "BadIndex at event 2: crossing index 7 outside 1..3",
+            "MultipleComponents at event 5: cap closes a component inside a tangle",
+            "NonzeroEnd at event 6: 2 strands left open",
+        ]
+        assert [str(v) for v in validate(events, 4, knot=False)] == expected
+        with pytest.raises(ValidationError) as err:
+            TangleWord(4, events)
+        assert str(err.value) == "; ".join(expected)

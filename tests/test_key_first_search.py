@@ -29,9 +29,9 @@ def simulations(monkeypatch):
     calls = []
     original = events_mod._simulate
 
-    def counting(events, start_count, tangle):
+    def counting(events, start_count):
         calls.append(tuple(events))
-        return original(events, start_count, tangle)
+        return original(events, start_count)
 
     for module in (events_mod, moves_mod):
         monkeypatch.setattr(module, "_simulate", counting)

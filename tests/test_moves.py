@@ -71,6 +71,16 @@ class TestCommuteTable:
             commute(w, 1)
 
 
+    def test_loop_closing_caps_commute_in_a_link(self):
+        # Each cap of d1 d1 closes a loop of the link; within the window on
+        # 4 strands below, each joins two strands that come from below.
+        unlink = MorseWord([cup(1), cup(1), cap(1), cap(1)])
+        move = Move(MoveKind.COMMUTE_DISTANT, 2)
+        out = apply_move(unlink, move)
+        assert str(out) == "b1 b1 d3 d1" and out.component_count == 2
+        assert inverse_move(unlink, move) == move
+
+
 class TestMoveApplication:
     def test_zigzag_cancel_right(self):
         padded = MorseWord(

@@ -23,7 +23,7 @@ import morsewidth.search as search_mod
 from conftest import random_closed_word, random_knot_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
-from morsewidth.events import EventKind, MorseWord, _simulate, cap, cross, cup
+from morsewidth.events import EventKind, MorseWord, _validated_trace, cap, cross, cup
 from morsewidth.invariants import level_profile
 from morsewidth.moves import (
     Move,
@@ -214,11 +214,14 @@ def test_boundary_matching_agrees_with_the_component_walk():
     for _ in range(3000):
         n = rng.randint(0, 6)
         events = random_window(rng, n, rng.randint(0, 4))
-        trace = _simulate(events, n, n > 0)
+        trace, violations = _validated_trace(tuple(events), n, knot=False)
         counts, closed, bad = oracle_components(events, n)
+        if trace is None:  # the empty closed word, refused whole
+            assert [v.code for v in violations] == ["EmptyWord"] and bad == []
+            continue
         assert list(trace.counts) == counts
-        assert trace.closed_components == closed
-        assert [(v.code, v.position) for v in trace.violations] == bad
+        assert len(trace.closed) == closed
+        assert [(v.code, v.position) for v in violations] == bad
         assert list(trace.matching) == oracle_matching(events, n)
         shapes.add((n, trace.matching))
     assert len(shapes) > 300
@@ -283,6 +286,13 @@ def test_apply_move_refuses_a_rewrite_that_is_not_local(patch_rule, name, listed
     for move in every:
         with pytest.raises(InvalidMove, match="component count or the strands"):
             apply_move(word, move)
+
+
+def test_the_local_check_counts_loops_and_refuses_none():
+    # A window and its rewrite that each close one loop keep the component
+    # count: a check that read them as tangles would refuse both loops.
+    moved = moves_mod._Rule(2, 0, False, lambda w, n: [()], lambda w, p: (cup(3), cap(3)))
+    assert moves_mod._rewrite(moved, (cup(1), cap(1)), (), 2)[0] == (cup(3), cap(3))
 
 
 def test_inverse_move_refuses_when_no_listed_move_undoes(patch_rule):

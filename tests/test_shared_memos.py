@@ -42,9 +42,9 @@ def local_checks(monkeypatch):
     calls = []
     original = moves_mod._simulate
 
-    def counting(events, start_count, tangle):
+    def counting(events, start_count):
         calls.append(tuple(events))
-        return original(events, start_count, tangle)
+        return original(events, start_count)
 
     monkeypatch.setattr(moves_mod, "_simulate", counting)
     return calls

@@ -1,8 +1,9 @@
 """The word simulation against an independent component walk.
 
 ``_simulate`` traces components by linking each open strand end to the
-far end of its arc.  ``oracle_components`` knows nothing of that: it
-records strand pieces and finds components by a graph walk afterwards.
+far end of its arc, and ``_validated_trace`` adds the whole-word rules.
+``oracle_components`` knows nothing of that: it records strand pieces and
+finds components by a graph walk afterwards.
 The two must agree on the strand counts, the closed-component count and
 every violation (code and position), for valid and invalid words alike.
 """
@@ -13,14 +14,16 @@ import pytest
 
 from conftest import random_closed_events
 from morsewidth.errors import ValidationError
-from morsewidth.events import MorseWord, TangleWord, _simulate, cap, cross, cup, validate
+from morsewidth.events import MorseWord, TangleWord, _validated_trace, cap, cross, cup, validate
 from oracles import oracle_components
 
 
 def simulated(events, start=0):
-    trace = _simulate(events, start, tangle=start > 0)
-    codes = [(v.code, v.position) for v in trace.violations]
-    return list(trace.counts), trace.closed_components, codes
+    """As the oracle reads ``events``: a start above zero is a tangle, and a
+    closed word may be a link."""
+    trace, violations = _validated_trace(tuple(events), start, knot=False)
+    codes = [(v.code, v.position) for v in violations]
+    return list(trace.counts), len(trace.closed), codes
 
 
 def random_tangle_events(rng: random.Random, strands: int, max_events: int = 20):
