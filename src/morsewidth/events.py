@@ -110,7 +110,7 @@ def _simulate(events: Sequence[MorseEvent], start_count: int) -> _Trace:
     """
     other = [*range(start_count, 2 * start_count), *range(start_count)]
     slots = list(range(start_count))
-    counts = [len(slots)]  # a slot count like every later one: 0 for a negative start
+    counts = [start_count]
     violations: list[Violation] = []
     closed: list[int] = []
     CUP, CAP = EventKind.CUP, EventKind.CAP
@@ -171,6 +171,10 @@ def _validated_trace(
     return trace, violations
 
 
+# The refusal of a negative or odd boundary strand count, or of a tangle's zero.
+_BAD_BOUNDARY = Violation("BadIndex", 0, "boundary strand count must be even and positive")
+
+
 def validate(
     events: Iterable[MorseEvent], boundary_strands: int = 0, knot: bool = True
 ) -> list[Violation]:
@@ -178,8 +182,11 @@ def validate(
 
     ``boundary_strands`` selects tangle mode (counts start there and no
     component may close).  With ``knot=True`` a closed word must also trace
-    to exactly one component; links are reported as MultipleComponents.
+    to exactly one component; links are reported as MultipleComponents.  A
+    negative or odd ``boundary_strands`` is refused as TangleWord refuses it.
     """
+    if boundary_strands < 0 or boundary_strands % 2:
+        return [_BAD_BOUNDARY]
     return _validated_trace(tuple(events), boundary_strands, knot)[1]
 
 
@@ -244,9 +251,7 @@ class TangleWord(_Word):
 
     def __init__(self, boundary_strands: int, events: Iterable[MorseEvent]):
         if boundary_strands <= 0 or boundary_strands % 2:
-            raise ValidationError(
-                [Violation("BadIndex", 0, "boundary strand count must be even and positive")]
-            )
+            raise ValidationError([_BAD_BOUNDARY])
         self.boundary_strands = boundary_strands
         self._store(events, boundary_strands)
 

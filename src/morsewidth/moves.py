@@ -8,14 +8,10 @@ presented diagram, and each move has an inverse move in the system:
                      cap-then-cup pair at one slot needs a ``side`` telling
                      where the reborn pair lands, since both resolutions
                      are height exchanges of disjoint pieces.
-* ZigZagCancel    -- delete Cup(i) immediately followed by Cap(i±1): a
-                     finger poking an existing strand.  ZigZagInsert is
-                     the inverse.
-* R1Absorb        -- delete the crossing in Cup(i), Cross(i,±): a kink at
-                     a minimum.  R1Insert(at="cup") is the inverse.
-* CapAbsorbCross  -- delete the crossing in Cross(i,±), Cap(i): a kink at
-                     a maximum.  R1Insert(at="cap") is the inverse.
-* R2Cancel        -- delete Cross(i,s), Cross(i,-s).  R2Insert inverse.
+* ZigZagInsert    -- insert a finger Cup(i), Cap(i±1); ZigZagCancel undoes it.
+* R1Insert        -- insert a kink Cross(i,±) above Cup(i) or below Cap(i);
+                     R1Absorb and CapAbsorbCross undo it.
+* R2Insert        -- insert Cross(i,s), Cross(i,-s); R2Cancel undoes it.
 * YangBaxter      -- braid relation: Cross(i,s) Cross(i+1,s) Cross(i,s)
                      <-> Cross(i+1,s) Cross(i,s) Cross(i+1,s).
 
@@ -23,19 +19,19 @@ Each kind is one entry of the rule table ``_RULES``: the number of events
 it replaces at its site (its window), its length delta, whether it changes
 the writhe, ``params`` (the parameters valid for a window and the strand
 count below it: the kind's only validity predicate) and ``rewrite`` (the
-window's replacement).  Enumeration, application, inverses, LENGTH_DELTA
-and WRITHE_CHANGING all derive from the table, with no per-kind code.
+window's replacement).  A cancel's ``params`` and ``rewrite`` are derived
+from its insertion (``_cancel``).  Enumeration, application, inverses,
+LENGTH_DELTA and WRITHE_CHANGING all derive from the table.
 
-Every caller reads a site's moves from one cache, ``_site``, keyed by the
-events from the site and the strand count below it; ``_sites`` yields one
-entry per site and rule, with the rule's whole params list there.  Every
-rewrite is licensed by the local check of a second cache, ``_rewrite``,
-whose entry also says whether it keeps a word in ``canonical_key`` normal
-form.  A rule's ``params`` and ``rewrite`` are called only in these two
-caches, which ``apply_move`` and ``inverse_move`` read as a search does.
-Both are under ``functools.lru_cache``, bounded at ``_MEMO_CAP`` entries
-each, least recently used out.  A rule replaced in ``_RULES`` is not seen
-by a cached site: empty both caches.
+Every caller reads a site's moves from the cache ``_site``, keyed by the
+events from the site and the strand count below it (``_sites`` yields
+one entry per site and rule), and licenses each rewrite by the local
+check of the cache ``_rewrite``, whose entry also says whether it keeps a
+word in ``canonical_key`` normal form.  A rule's ``params`` and
+``rewrite`` are called only in these caches and in ``_images``, of the
+rewrites an insertion makes; each is an ``lru_cache`` of at most
+``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not seen by a
+cached entry: empty the caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -123,12 +119,6 @@ def _commute(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
     return (MorseEvent(e2.kind, e2.index - _SHIFT[e1.kind], e2.sign), e1)
 
 
-def _zigzag_params(window: _Window, strands_below: int) -> list[tuple]:
-    e1, e2 = window  # a finger poking an existing strand
-    kinds_match = e1.kind is EventKind.CUP and e2.kind is EventKind.CAP
-    return [()] if kinds_match and abs(e2.index - e1.index) == 1 else []
-
-
 # An insertion's window is empty: one list per strand count, shared by every site.
 @lru_cache
 def _zigzag_insert_params(window: _Window, strands_below: int) -> list[tuple]:
@@ -143,12 +133,6 @@ def _zigzag_insert(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
     return (cup(i), cap(i + 1 if side == "right" else i - 1))
 
 
-def _r1_absorb_params(window: _Window, strands_below: int) -> list[tuple]:
-    e1, e2 = window  # a kink at a minimum
-    kinds_match = e1.kind is EventKind.CUP and e2.kind is EventKind.CROSS
-    return [()] if kinds_match and e2.index == e1.index else []
-
-
 def _r1_insert_params(window: _Window, strands_below: int) -> list[tuple]:
     kind = window[0].kind
     at = "cup" if kind is EventKind.CUP else "cap"
@@ -160,12 +144,6 @@ def _r1_insert(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
     s, at = params
     kink = cross(e.index, s)
     return (e, kink) if at == "cup" else (kink, e)
-
-
-def _r2_params(window: _Window, strands_below: int) -> list[tuple]:
-    e1, e2 = window  # a crossing followed by its inverse
-    kinds_match = e1.kind is e2.kind is EventKind.CROSS
-    return [()] if kinds_match and e1.index == e2.index and e1.sign == -e2.sign else []
 
 
 @lru_cache
@@ -191,14 +169,21 @@ def _yang_baxter(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
     return (cross(e2.index, s), cross(e1.index, s), cross(e2.index, s))
 
 
-def _cap_absorb_params(window: _Window, strands_below: int) -> list[tuple]:
-    e1, e2 = window  # a kink at a maximum
-    kinds_match = e1.kind is EventKind.CROSS and e2.kind is EventKind.CAP
-    return [()] if kinds_match and e2.index == e1.index else []
+def _cancel(insert: MoveKind, source: slice) -> tuple[Callable, Callable]:
+    """``params`` and ``rewrite`` of the move that undoes ``insert``: it lists
+    ``()`` on a window that is one of the insertion's rewrites of the
+    window's ``source`` events on the same strand count, and gives back
+    that source.  The insertion is looked up when called, so a rule put in
+    ``_RULES`` in its place changes its cancel too."""
+
+    def params(window: _Window, strands_below: int) -> list[tuple]:
+        return [()] if window in _images(_RULES[insert], window[source], strands_below) else []
+
+    return params, lambda window, _: window[source]
 
 
-# eq=False: a rule hashes and compares by identity, so the _rewrite cache
-# is keyed by the rule itself; a rule replaced in _RULES is a new key.
+# eq=False: a rule hashes and compares by identity, so the _rewrite and _images
+# caches are keyed by the rule itself; a rule replaced in _RULES is a new key.
 @dataclass(frozen=True, eq=False)
 class _Rule:
     width: int  # events replaced at the site
@@ -211,14 +196,14 @@ class _Rule:
 # One entry per kind, in MoveKind order (the enumeration order at a site).
 _RULES: dict[MoveKind, _Rule] = {
     MoveKind.COMMUTE_DISTANT: _Rule(2, 0, False, _commute_params, _commute),
-    MoveKind.ZIGZAG_CANCEL: _Rule(2, -2, False, _zigzag_params, lambda w, p: ()),
+    MoveKind.ZIGZAG_CANCEL: _Rule(2, -2, False, *_cancel(MoveKind.ZIGZAG_INSERT, slice(0))),
     MoveKind.ZIGZAG_INSERT: _Rule(0, +2, False, _zigzag_insert_params, _zigzag_insert),
-    MoveKind.R1_ABSORB: _Rule(2, -1, True, _r1_absorb_params, lambda w, p: w[:1]),
+    MoveKind.R1_ABSORB: _Rule(2, -1, True, *_cancel(MoveKind.R1_INSERT, slice(1))),
     MoveKind.R1_INSERT: _Rule(1, +1, True, _r1_insert_params, _r1_insert),
-    MoveKind.R2_CANCEL: _Rule(2, -2, False, _r2_params, lambda w, p: ()),
+    MoveKind.R2_CANCEL: _Rule(2, -2, False, *_cancel(MoveKind.R2_INSERT, slice(0))),
     MoveKind.R2_INSERT: _Rule(0, +2, False, _r2_insert_params, _r2_insert),
     MoveKind.YANG_BAXTER: _Rule(3, 0, False, _yang_baxter_params, _yang_baxter),
-    MoveKind.CAP_ABSORB_CROSS: _Rule(2, -1, True, _cap_absorb_params, lambda w, p: w[1:]),
+    MoveKind.CAP_ABSORB_CROSS: _Rule(2, -1, True, *_cancel(MoveKind.R1_INSERT, slice(1, 2))),
 }
 
 LENGTH_DELTA = {kind: rule.length_delta for kind, rule in _RULES.items()}
@@ -234,9 +219,17 @@ WRITHE_CHANGING = frozenset(kind for kind, rule in _RULES.items() if rule.writhe
 _REACH = max(rule.width for rule in _RULES.values())
 
 # Entries each cache below may hold, least recently used out.  A site entry
-# takes about 0.4 KB at 4 strands and 0.7 KB at 10 and a rewrite entry about
-# 0.35 KB, so both stay under some 20 MiB; 1,824 random-knot searches fill 1,023.
+# takes about 0.4 KB at 4 strands and 0.7 KB at 10, a rewrite entry about
+# 0.35 KB and a kink's image entry 0.6 KB (a finger's, one per strand count,
+# 8 KB at 10), so each stays under some 20 MiB; 1,824 random-knot searches
+# fill 1,023 site and rewrite entries.
 _MEMO_CAP = 1 << 14
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _images(rule: _Rule, source: tuple, n: int) -> frozenset:
+    """Every rewrite ``rule`` lists for ``source`` with ``n`` strands below it."""
+    return frozenset(rule.rewrite(source, params) for params in rule.params(source, n))
 
 
 @lru_cache(maxsize=_MEMO_CAP)

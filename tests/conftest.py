@@ -91,9 +91,11 @@ def rng() -> random.Random:
 
 
 def clear_move_caches() -> None:
-    """Empty the cached site moves and rewrites that every search shares."""
+    """Empty every move cache: the site moves, rewrites and insertion images
+    that every search shares."""
     moves_mod._site.cache_clear()
     moves_mod._rewrite.cache_clear()
+    moves_mod._images.cache_clear()
 
 
 @pytest.fixture

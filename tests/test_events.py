@@ -105,6 +105,17 @@ class TestValidateFunction:
         assert validate(link, knot=False) == []
         assert "MultipleComponents" in codes(validate(link, knot=True))
 
+    @pytest.mark.parametrize(
+        "events, boundary, knot",
+        [([], -2, True), ([cup(1), cap(1)], -2, False), ([cross(1, 1), cap(2)], 3, False)],
+    )
+    def test_bad_boundary_is_refused_as_a_tangle_refuses_it(self, events, boundary, knot):
+        expected = ["BadIndex at event 0: boundary strand count must be even and positive"]
+        assert [str(v) for v in validate(events, boundary, knot=knot)] == expected
+        with pytest.raises(ValidationError) as err:
+            TangleWord(boundary, events)
+        assert [str(v) for v in err.value.violations] == expected
+
     def test_component_count_helper(self):
         assert component_count(MorseWord(TREFOIL)) == 1
 

@@ -34,6 +34,46 @@ def test_rewrite_that_changes_component_count_is_refused(patch_rule):
         apply_move(TREFOIL, Move(MoveKind.ZIGZAG_INSERT, 2, (2, "right")))
 
 
+# Each cancel and the insertion it undoes.
+CANCELS = {
+    MoveKind.ZIGZAG_CANCEL: MoveKind.ZIGZAG_INSERT,
+    MoveKind.R1_ABSORB: MoveKind.R1_INSERT,
+    MoveKind.CAP_ABSORB_CROSS: MoveKind.R1_INSERT,
+    MoveKind.R2_CANCEL: MoveKind.R2_INSERT,
+}
+
+
+@pytest.mark.parametrize("cancel", CANCELS, ids=lambda kind: kind.value)
+def test_a_cancel_mirrors_its_insertion(cancel):
+    rule, insert = moves_mod._RULES[cancel], moves_mod._RULES[CANCELS[cancel]]
+    assert rule.width == insert.width + insert.length_delta
+    assert rule.length_delta == -insert.length_delta
+    assert rule.writhe_changing == insert.writhe_changing
+
+
+def kinds_at(window, n):
+    return [kind for kind, _, _ in moves_mod._site(tuple(window), n)]
+
+
+def test_a_cancel_follows_a_patched_insertion(patch_rule):
+    same, inverse = (cross(1, 1), cross(1, 1)), (cross(1, 1), cross(1, -1))
+    assert MoveKind.R2_CANCEL in kinds_at(inverse, 2)
+
+    def same_sign(window, params):
+        i, s = params
+        return (cross(i, s), cross(i, s))
+
+    patch_rule(MoveKind.R2_INSERT, rewrite=same_sign)
+    assert MoveKind.R2_CANCEL in kinds_at(same, 2)
+    assert MoveKind.R2_CANCEL not in kinds_at(inverse, 2)
+
+
+def test_a_cancel_lists_only_what_its_insertion_makes():
+    # On no strands Cap(2) above Cup(1) is out of range: no finger makes it.
+    assert MoveKind.ZIGZAG_CANCEL not in kinds_at((cup(1), cap(2)), 0)
+    assert MoveKind.ZIGZAG_CANCEL in kinds_at((cup(1), cap(2)), 2)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
