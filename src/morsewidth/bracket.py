@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .events import EventKind, MorseWord, require_closed, require_knot
+from .events import EventKind, MorseWord, _simulate, require_closed, require_knot
 
 MAX_STATE_SUM_CROSSINGS = 18
 
@@ -234,35 +234,22 @@ def writhe(word: MorseWord) -> int:
     """Sum over crossings of sign * (+1 if both strands run the same way
     up the page, else -1), with the knot oriented by walking it.
 
-    Every strand piece runs monotonically from its cup to its cap, so one
-    sweep names the pieces and one walk orients them: the two pieces a
-    cup starts run opposite ways, and so do the two a cap joins.  Knots
-    only: on a multi-component diagram the sum would depend on the
-    orientation chosen for each component.
+    Every strand piece runs monotonically from its cup to its cap, so the
+    word's strand trace names the pieces (a cup opens ends a and a ^ 1) and
+    one walk orients them: the two pieces a cup starts run opposite ways,
+    and so do the two a cap joins.  Knots only: on a multi-component
+    diagram the sum would depend on the orientation chosen for each component.
     """
-    require_knot(word)
-    slots: list[int] = []  # piece id per strand of the current level
-    capped: dict[int, int] = {}  # piece -> the piece a cap joins it to
-    crossings: list[tuple[int, int, int]] = []  # (sign, left piece, right piece)
-    pieces = 0
-    for e in word.events:
-        i = e.index - 1
-        if e.kind is EventKind.CUP:
-            slots[i:i] = [pieces, pieces + 1]  # cup partners differ in the last bit
-            pieces += 2
-        elif e.kind is EventKind.CAP:
-            a, b = slots[i], slots[i + 1]
-            capped[a], capped[b] = b, a
-            del slots[i : i + 2]
-        else:
-            crossings.append((e.sign, slots[i], slots[i + 1]))
-            slots[i], slots[i + 1] = slots[i + 1], slots[i]
-    up = [False] * pieces
+    trace = _simulate(require_knot(word).events, 0)
+    ends = trace.ends
+    up = [False] * len(ends)
     piece = 0
-    for _ in range(pieces // 2):  # one upward piece per cup
+    for _ in range(len(ends) // 2):  # one upward piece per cup
         up[piece] = True
-        piece = capped[piece ^ 1]
-    return sum(s if up[a] == up[b] else -s for s, a, b in crossings)
+        piece = ends[piece ^ 1]
+    signs = (e.sign for e in word.events if e.kind is EventKind.CROSS)
+    pairs = iter(trace.crossed)  # left end, right end per crossing
+    return sum(s if up[a] == up[b] else -s for s, a, b in zip(signs, pairs, pairs))
 
 
 def _normalized(w: int, bracket: LaurentPoly) -> LaurentPoly:

@@ -15,7 +15,9 @@ a tangle word starts at the (even) number of boundary strands and ends at
 zero, and may not close any component.  One sweep (``_simulate``) finds
 the local faults: on n strands a cup's index runs from 1 to n + 1, a cap's
 (n >= 2) and a crossing's from 1 to n - 1.  It traces components by linking
-each open strand end to the far end of its arc.  ``_validated_trace`` checks
+each open strand end to the far end of its arc and each capped end to its
+cap partner, and lists the ends each crossing exchanges: the crossing
+count and the writhe read that trace too.  ``_validated_trace`` checks
 the whole-word rules on that trace: a word is not empty, ends on zero
 strands, and as a tangle closes no component.  A knot word that traces to
 several components has one violation, MultipleComponents at its end, and
@@ -25,7 +27,6 @@ several components has one violation, MultipleComponents at its end, and
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError, Violation
@@ -93,6 +94,8 @@ class _Trace(NamedTuple):
     violations: tuple[Violation, ...]  # local faults only
     closed: tuple[int, ...]  # the positions of the caps that close a component
     matching: tuple[int, ...]  # the point an arc joins to each boundary point
+    ends: list[int]  # an open end's far end, a capped end's cap partner
+    crossed: list[int]  # two ends per crossing: left, right; bottom up
 
 
 def _simulate(events: Sequence[MorseEvent], start_count: int) -> _Trace:
@@ -105,18 +108,22 @@ def _simulate(events: Sequence[MorseEvent], start_count: int) -> _Trace:
     0..start_count-1 whose far ends are the boundary points, ids
     start_count..2*start_count-1.  A cap joining the two ends of one arc
     closes a component; any other cap links the far ends of the two arcs it
-    joins.  The boundary points are numbered bottom first (0..start_count-1),
-    then the strands open at the top.
+    joins, and pairs its own two ends, which no open end's far end is.  So
+    the trace's ``ends`` (``other`` after the sweep) holds an open end's far
+    end and a capped end's cap partner; ``crossed`` holds, left first, the
+    two ends each crossing exchanges.  The boundary points are numbered
+    bottom first (0..start_count-1), then the strands open at the top.
     """
     other = [*range(start_count, 2 * start_count), *range(start_count)]
     slots = list(range(start_count))
     counts = [start_count]
     violations: list[Violation] = []
     closed: list[int] = []
+    crossed: list[int] = []  # flat: a tuple per crossing made the sweep a tenth dearer
     CUP, CAP = EventKind.CUP, EventKind.CAP
 
-    for pos, (kind, i, _) in enumerate(events):
-        n = len(slots)
+    for pos, e in enumerate(events):
+        kind, i, n = e.kind, e.index, len(slots)  # MorseEvent unpacking is not specialized
         top = n + 1 if kind is CUP else n - 1  # the highest valid index
         if kind is CAP and n < 2:
             violations.append(
@@ -132,21 +139,23 @@ def _simulate(events: Sequence[MorseEvent], start_count: int) -> _Trace:
         elif kind is CAP:
             a, b = slots[i - 1], slots[i]
             far_a, far_b = other[a], other[b]
-            if far_a == b:
+            if far_a == b:  # other already pairs a and b
                 closed.append(pos)
             else:
-                other[far_a] = far_b
-                other[far_b] = far_a
+                other[far_a], other[far_b] = far_b, far_a
+                other[a], other[b] = b, a
             del slots[i - 1 : i + 1]
         else:  # CROSS
-            slots[i - 1], slots[i] = slots[i], slots[i - 1]
+            a, b = slots[i - 1], slots[i]
+            crossed.append(a)
+            crossed.append(b)
+            slots[i - 1], slots[i] = b, a
         counts.append(len(slots))
 
     point = {e: start_count + p for p, e in enumerate(slots)}  # at the top
     point.update((start_count + j, j) for j in range(start_count))  # at the bottom
-    ends = [*range(start_count, 2 * start_count), *slots]
-    matching = tuple(point[other[e]] for e in ends)
-    return _Trace(tuple(counts), tuple(violations), tuple(closed), matching)
+    matching = tuple(point[other[e]] for e in (*range(start_count, 2 * start_count), *slots))
+    return _Trace(tuple(counts), tuple(violations), tuple(closed), matching, other, crossed)
 
 
 def _validated_trace(
@@ -202,6 +211,7 @@ class _Word:
             raise ValidationError(bad)
         self.counts: tuple[int, ...] = trace.counts
         self.component_count: int = len(trace.closed)
+        self.crossing_count: int = len(trace.crossed) // 2
 
     def _key(self) -> tuple:
         return self.events
@@ -236,10 +246,6 @@ class MorseWord(_Word):
     @property
     def is_knot(self) -> bool:
         return self.component_count == 1
-
-    @cached_property
-    def crossing_count(self) -> int:
-        return sum(1 for e in self.events if e.kind is EventKind.CROSS)
 
     def __str__(self) -> str:
         return " ".join(e.token() for e in self.events)
