@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .events import EventKind, MorseWord, _simulate, require_closed, require_knot
+from .events import EventKind, MorseWord, require_closed, require_knot
 
 MAX_STATE_SUM_CROSSINGS = 18
 
@@ -235,12 +235,13 @@ def writhe(word: MorseWord) -> int:
     up the page, else -1), with the knot oriented by walking it.
 
     Every strand piece runs monotonically from its cup to its cap, so the
-    word's strand trace names the pieces (a cup opens ends a and a ^ 1) and
-    one walk orients them: the two pieces a cup starts run opposite ways,
-    and so do the two a cap joins.  Knots only: on a multi-component
-    diagram the sum would depend on the orientation chosen for each component.
+    strand trace the word keeps from its construction names the pieces (a
+    cup opens ends a and a ^ 1) and one walk orients them: the two pieces a
+    cup starts run opposite ways, and so do the two a cap joins.  Knots
+    only: on a multi-component diagram the sum would depend on the
+    orientation chosen for each component.
     """
-    trace = _simulate(require_knot(word).events, 0)
+    trace = require_knot(word)._trace
     ends = trace.ends
     up = [False] * len(ends)
     piece = 0

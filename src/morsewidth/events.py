@@ -16,12 +16,13 @@ zero, and may not close any component.  One sweep (``_simulate``) finds
 the local faults: on n strands a cup's index runs from 1 to n + 1, a cap's
 (n >= 2) and a crossing's from 1 to n - 1.  It traces components by linking
 each open strand end to the far end of its arc and each capped end to its
-cap partner, and lists the ends each crossing exchanges: the crossing
-count and the writhe read that trace too.  ``_validated_trace`` checks
-the whole-word rules on that trace: a word is not empty, ends on zero
-strands, and as a tangle closes no component.  A knot word that traces to
-several components has one violation, MultipleComponents at its end, and
-``require_knot`` raises that same violation.
+cap partner, and lists the ends each crossing exchanges: a word keeps
+its trace, and the crossing count and the writhe read it too.
+``_validated_trace`` checks the whole-word rules on that trace: a word is
+not empty, ends on zero strands, and as a tangle closes no component.  A
+knot word that traces to several components has one violation,
+MultipleComponents at its end, and ``require_knot`` raises that same
+violation.
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ class _Word:
         trace, bad = _validated_trace(self.events, boundary_strands, knot=False)
         if bad:
             raise ValidationError(bad)
+        self._trace = trace  # the writhe reads its ends and crossed pairs
         self.counts: tuple[int, ...] = trace.counts
         self.component_count: int = len(trace.closed)
         self.crossing_count: int = len(trace.crossed) // 2

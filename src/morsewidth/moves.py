@@ -23,15 +23,17 @@ window's replacement).  A cancel's ``params`` and ``rewrite`` are derived
 from its insertion (``_cancel``).  Enumeration, application, inverses,
 LENGTH_DELTA and WRITHE_CHANGING all derive from the table.
 
-Every caller reads a site's moves from the cache ``_site``, keyed by the
-events from the site and the strand count below it (``_sites`` yields
-one entry per site and rule), and licenses each rewrite by the local
-check of the cache ``_rewrite``, whose entry also says whether it keeps a
-word in ``canonical_key`` normal form.  A rule's ``params`` and
-``rewrite`` are called only in these caches and in ``_images``, of the
-rewrites an insertion makes; each is an ``lru_cache`` of at most
-``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not seen by a
-cached entry: empty the caches.
+The search loop and both its caches run on int event codes (``_code``):
+``_site``, keyed by the codes from a site and the strand count below it,
+lists the site's moves (``_sites`` yields one entry per site and rule), and
+``_rewrite`` licenses a rewrite by its local check and says whether it is
+in normal form (``_normal``).  On a miss each decodes its window for the
+rules, which see only events; ``enumerate_moves``, ``apply_move``,
+``inverse_move`` and ``canonical_key`` encode at entry.  A rule's
+``params`` and ``rewrite`` are called only in the two caches and in
+``_images``, of the rewrites an insertion makes; each is an ``lru_cache``
+of at most ``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not
+seen by a cached entry: empty the caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -93,7 +95,10 @@ def _support(event: MorseEvent, lower: bool) -> tuple[int, int]:
     return (2 * i - 1, 2 * i - 1) if event.kind is slot_kind else (2 * i, 2 * i + 2)
 
 
-_SHIFT = {EventKind.CUP: +2, EventKind.CAP: -2, EventKind.CROSS: 0}
+# An event's type in its code, 0 cup, 1 cap, 2 crossing (3 when positive; see
+# _code), and each type's change in strand count.
+_TYPE = {EventKind.CUP: 0, EventKind.CAP: 1, EventKind.CROSS: 2}
+_SHIFT = (2, -2, 0, 0)
 
 
 def _commute_params(window: _Window, strands_below: int) -> list[tuple]:
@@ -115,8 +120,8 @@ def _commute(window: _Window, params: tuple) -> tuple[MorseEvent, ...]:
         return (cup(i), cap(i + 2)) if params == ("left",) else (cup(i + 2), cap(i))
     if _support(e2, lower=False)[1] < _support(e1, lower=True)[0]:
         # e2 acts entirely below e1's support
-        return (e2, MorseEvent(e1.kind, e1.index + _SHIFT[e2.kind], e1.sign))
-    return (MorseEvent(e2.kind, e2.index - _SHIFT[e1.kind], e2.sign), e1)
+        return (e2, MorseEvent(e1.kind, e1.index + _SHIFT[_TYPE[e2.kind]], e1.sign))
+    return (MorseEvent(e2.kind, e2.index - _SHIFT[_TYPE[e1.kind]], e2.sign), e1)
 
 
 # An insertion's window is empty: one list per strand count, shared by every site.
@@ -222,8 +227,33 @@ _REACH = max(rule.width for rule in _RULES.values())
 # takes about 0.4 KB at 4 strands and 0.7 KB at 10, a rewrite entry about
 # 0.35 KB and a kink's image entry 0.6 KB (a finger's, one per strand count,
 # 8 KB at 10), so each stays under some 20 MiB; 1,824 random-knot searches
-# fill 1,023 site and rewrite entries.
+# fill 1,023 site and rewrite entries.  An event's code, or a code's event,
+# takes about 0.2 KB.
 _MEMO_CAP = 1 << 14
+
+
+# The search loop runs on one int code per event, index << 2 | t: a code is
+# a crossing when bit 1 is set, and _SHIFT[code & 3] is its change in strand
+# count.  The rules see events, decoded from a window on a cache miss.
+_MAKE = (cup, cap, partial(cross, sign=-1), partial(cross, sign=1))
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _code(e: MorseEvent) -> int:
+    return e.index << 2 | _TYPE[e.kind] | (e.sign > 0)
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _event(code: int) -> MorseEvent:
+    return _MAKE[code & 3](code >> 2)
+
+
+def _encode(events: Sequence[MorseEvent]) -> tuple[int, ...]:
+    return tuple(map(_code, events))
+
+
+def _decode(codes: Sequence[int]) -> tuple[MorseEvent, ...]:
+    return tuple(map(_event, codes))
 
 
 @lru_cache(maxsize=_MEMO_CAP)
@@ -233,24 +263,25 @@ def _images(rule: _Rule, source: tuple, n: int) -> frozenset:
 
 
 @lru_cache(maxsize=_MEMO_CAP)
-def _site(window: tuple, n: int) -> list[tuple]:
+def _site(window: tuple[int, ...], n: int) -> list[tuple]:
     """(kind, rule, params list) of each rule with a move on ``window`` (the
-    events from a site, up to _REACH of them) with ``n`` strands below it."""
+    codes from a site, up to _REACH of them) with ``n`` strands below it."""
+    events = _decode(window)
     return [
         (kind, rule, found)
         for kind, rule in _RULES.items()
-        if rule.width <= len(window) and (found := rule.params(window[: rule.width], n))
+        if rule.width <= len(events) and (found := rule.params(events[: rule.width], n))
     ]
 
 
-def _counts(ev: Sequence[MorseEvent]) -> tuple[int, ...]:
-    """The strand count below each event of the closed word ``ev``, and 0 above."""
-    return tuple(accumulate([_SHIFT[e[0]] for e in ev], initial=0))
+def _counts(ev: Sequence[int]) -> tuple[int, ...]:
+    """The strand count below each code of the closed word ``ev``, and 0 above."""
+    return tuple(accumulate([_SHIFT[c & 3] for c in ev], initial=0))
 
 
-def _sites(ev: tuple, max_delta: int | None) -> Iterator[tuple]:
+def _sites(ev: tuple[int, ...], max_delta: int | None) -> Iterator[tuple]:
     """(site, strands below it, kind, rule, params list) of each rule with
-    moves on the closed word's events ``ev``, one entry per site and rule,
+    moves on the closed word's codes ``ev``, one entry per site and rule,
     in the order of ``enumerate_moves``."""
     for k, n in enumerate(_counts(ev)):
         for kind, rule, found in _site(ev[k : k + _REACH], n):
@@ -262,7 +293,7 @@ def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]
     """All valid moves, in deterministic order (site, then kind, then
     parameters).  ``max_delta`` leaves out the kinds whose length delta
     exceeds it, as a length budget would; None keeps every kind."""
-    entries = _sites(require_closed(word, "a move").events, max_delta)
+    entries = _sites(_encode(require_closed(word, "a move").events), max_delta)
     return [Move(kind, k, params) for k, _, kind, _, found in entries for params in found]
 
 
@@ -271,37 +302,40 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
     site (``_site``) and its rewrite pass ``_rewrite``'s local check, else
     InvalidMove.  The validating MorseWord builds the result."""
     ev, k = require_closed(word, "a move").events, move.site
-    entries = _site(ev[k : k + _REACH], word.counts[k]) if 0 <= k <= len(ev) else ()
+    window = _encode(ev[k : k + _REACH])
+    entries = _site(window, word.counts[k]) if 0 <= k <= len(ev) else ()
     for kind, rule, found in entries:
         if kind is move.kind and move.params in found:
-            new = _rewrite(rule, ev[k : k + rule.width], move.params, word.counts[k])[0]
-            return MorseWord(ev[:k] + new + ev[k + rule.width :])
+            new = _rewrite(rule, window[: rule.width], move.params, word.counts[k])[0]
+            return MorseWord(ev[:k] + _decode(new) + ev[k + rule.width :])
     raise InvalidMove(f"{move} does not apply to {word}")
 
 
 @lru_cache(maxsize=_MEMO_CAP)
-def _rewrite(rule: _Rule, window: _Window, params: tuple, n0: int) -> tuple:
-    """(rewrite events, flat, width change, critical change, keeps order) of
-    a move on ``window`` with ``n0`` strands below it.  The local check
-    sweeps both from n0 strands: the rewrite needs no local fault and the
-    window's top count, boundary matching and closed loops, which
-    keeps the strand counts outside the window and the component count in
-    any word, else InvalidMove.  Flat means equal levels.  Both levels end
-    at the same top count, so the Gabai width of any word the move applies
-    to changes by the difference of their sums and its critical count by the
-    difference of their lengths.  Keeps order means that neither the window
-    nor the rewrite holds a crossing and the rewrite is not empty: then no
-    two crossings become adjacent and none is reindexed, so a word in
-    ``canonical_key`` normal form stays in it."""
+def _rewrite(rule: _Rule, codes: tuple[int, ...], params: tuple, n0: int) -> tuple:
+    """(rewrite codes, flat, width change, critical change, in order, first
+    code, last code) of a move on the window ``codes`` with ``n0`` strands
+    below it.  The local check sweeps the decoded window and its rewrite
+    from n0 strands: the rewrite needs no local fault and the window's top
+    count, boundary matching and closed loops, which keeps the strand
+    counts outside the window and the component count in any word, else
+    InvalidMove.  Flat means equal levels.  Both levels end at the same top
+    count, so the Gabai width of any word the move applies to changes by
+    the difference of their sums and its critical count by the difference
+    of their lengths.  In order means that the rewrite is its own normal
+    form (``_normal``); its first and last codes, None when it is empty, are
+    what the search compares across its seams with the word."""
+    window = _decode(codes)
     new = rule.rewrite(window, params)
     before, after = _simulate(window, n0), _simulate(new, n0)
     shape = (after.counts[-1], after.matching, len(after.closed))
     if after.violations or shape != (before.counts[-1], before.matching, len(before.closed)):
         shown = " -> ".join(" ".join(map(str, events)) for events in (window, new))
         raise InvalidMove(f"{shown} on {n0} strands changed the component count or the strands")
-    old, now = levels(before.counts), levels(after.counts)
-    keeps_order = bool(new) and all(e[0] is not EventKind.CROSS for e in (*window, *new))
-    return (new, old == now, sum(now) - sum(old), len(now) - len(old), keeps_order)
+    old, now, code = levels(before.counts), levels(after.counts), _encode(new)
+    inner = _normal(code) is code
+    first, last = (code[0], code[-1]) if code else (None, None)
+    return (code, old == now, sum(now) - sum(old), len(now) - len(old), inner, first, last)
 
 
 def inverse_move(word: MorseWord, move: Move) -> Move:
@@ -310,42 +344,51 @@ def inverse_move(word: MorseWord, move: Move) -> Move:
     delta, whose spliced rewrite gives back ``word``'s events."""
     out = apply_move(word, move)
     ev, k, n = out.events, move.site, out.counts[move.site]
-    for kind, rule, found in _site(ev[k : k + _REACH], n):
+    window = _encode(ev[k : k + _REACH])
+    for kind, rule, found in _site(window, n):
         if rule.length_delta == -LENGTH_DELTA[move.kind]:
             end = k + rule.width
             for params in found:
-                if ev[:k] + _rewrite(rule, ev[k:end], params, n)[0] + ev[end:] == word.events:
+                new = _decode(_rewrite(rule, window[: rule.width], params, n)[0])
+                if ev[:k] + new + ev[end:] == word.events:
                     return Move(kind, k, params)
     raise InvalidMove(f"no move undoes {move} on {word}")
 
 
-def canonical_key(events: Sequence[MorseEvent]) -> tuple[MorseEvent, ...]:
-    """Normal form of a word or any event sequence, for visited sets:
-    within each maximal run of consecutive crossings, a crossing sinks
-    below any crossing more than one index above it.  The swaps never
-    reindex and are confluent (in c < b - 1 < a - 3, a and c commute too),
-    so this is the unique lexicographic normal form of the run; two words
-    equal up to it share a key.  One scan returns the events as they are
-    when no adjacent pair is out of order, else one insertion pass sorts
-    them.  Crossings are never pulled past cups or caps: that rewriting is
-    order-sensitive and would make the key depend on bubbling history."""
-    ev = tuple(events)
-    cross = EventKind.CROSS
-    limit = 0  # a crossing of lower index than this is out of order
-    for e in ev:
-        if e[0] is cross:
-            if e[1] < limit:
-                break
-            limit = e[1] - 1
-        else:
-            limit = 0
+def _normal(ev: tuple[int, ...]) -> tuple[int, ...]:
+    """The normal form of the codes ``ev``, ``ev`` itself when every adjacent
+    pair is in order.  A pair (a, b) is out of order when both are crossings
+    and b's index is more than one below a's: within each maximal run of
+    consecutive crossings, a crossing sinks below any crossing more than one
+    index above it.  The swaps never reindex and are confluent (in
+    c < b - 1 < a - 3, a and c commute too), so this is the unique
+    lexicographic normal form of the run; two words equal up to it share a
+    key.  One scan returns ``ev`` when no adjacent pair is out of order, else
+    one insertion pass sorts it.  Crossings are never pulled past cups or
+    caps: that rewriting is order-sensitive and would make the key depend
+    on bubbling history."""
+    a = 0
+    for b in ev:
+        if a & b & 2 and b >> 2 < (a >> 2) - 1:
+            break
+        a = b
     else:
         return ev
     out = list(ev)
     for j, b in enumerate(ev):
-        if b[0] is cross:
-            while j and (a := out[j - 1])[0] is cross and b[1] < a[1] - 1:
+        if b & 2:
+            while j and (a := out[j - 1]) & 2 and b >> 2 < (a >> 2) - 1:
                 out[j] = a
                 j -= 1
             out[j] = b
     return tuple(out)
+
+
+def canonical_key(events: Sequence[MorseEvent]) -> tuple[MorseEvent, ...]:
+    """Normal form of a word or any event sequence, for visited sets (see
+    ``_normal``, which it runs on the events' codes): the events as they are
+    when they are in normal form, else the sorted events."""
+    ev = tuple(events)
+    code = _encode(ev)
+    key = _normal(code)
+    return ev if key is code else _decode(key)

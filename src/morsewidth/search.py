@@ -1,11 +1,14 @@
 """Search over the move graph for good positions of a fixed knot.
 
-A node is a position (key, events, trail, ordered); edges are rewrite
-moves, and the strand counts that a move or a key needs are summed from
-the events.  Only the word a search returns is built as a validated
-``MorseWord``, and only its trace as ``Move`` objects.  Positions are
-deduplicated by ``canonical_key``; an ordered position is its own key, and
-so is its child by a rewrite that keeps order, which needs no scan.
+A node is a position (key, events, trail, ordered), its events the int
+codes of ``moves._encode``; edges are rewrite moves, and the strand counts
+that a move or a key needs are summed from the codes.  Only the word a
+search returns is decoded and built as a validated ``MorseWord``, and only
+its trace as ``Move`` objects.  Positions are deduplicated by the normal
+form of their codes (``moves._normal``, which ``canonical_key`` runs too).
+Order is a property of adjacent pairs, so an ordered position is its own
+key, and so is its child by a rewrite that is in order inside and with
+the codes at its two seams: that needs no scan.
 The searches never return a word worse than their input under the chosen
 objective, and beam search is deterministic for a fixed seed: candidates
 are generated in a fixed order and sorted by (objective key, one seeded
@@ -30,7 +33,7 @@ from .invariants import (
     level_profile,
     levels,
 )
-from .moves import Move, MoveKind, _counts, _rewrite, _sites, canonical_key
+from .moves import Move, MoveKind, _counts, _decode, _encode, _normal, _rewrite, _sites
 
 
 class ObjectiveKind(Enum):
@@ -119,7 +122,7 @@ def _result(best: _Candidate, visited: int, start: MorseWord) -> SearchResult:
     while trail is not None:
         trail, kind, site, params = trail
         moves.append(Move(kind, site, params))
-    word = MorseWord(events)
+    word = MorseWord(_decode(events))
     if word.component_count != start.component_count:
         raise InvalidMove(f"{word} has another component count than {start}")
     report = embedding_report(word) if word.is_knot else None
@@ -166,28 +169,42 @@ def _frontier_search(
     not yet seen (by canonical key).  The new ones, sorted by ``rank`` if
     given, offer the best and form the next frontier: the first ``keep``, or all."""
     max_len = len(start.events) + insertion_budget
-    start_key = canonical_key(start.events)
+    start_events = _encode(start.events)
+    start_key = _normal(start_events)
     visited = {start_key}
-    best: _Candidate = (objective.key(start), start.events, None, start_key is start.events)
+    best: _Candidate = (objective.key(start), start_events, None, start_key is start_events)
     frontier = [best]
 
     for _ in range(steps):
         candidates: list[_Candidate] = []
         for parent in frontier:
             ev, ordered = parent[1], parent[3]
-            for k, n, kind, rule, found in _sites(ev, max_len - len(ev)):
+            size = len(ev)
+            for k, n, kind, rule, found in _sites(ev, max_len - size):
                 end = k + rule.width
                 head, window, tail = ev[:k], ev[k:end], ev[end:]
+                # The codes at the seams; 0, a cup, stands in past either end.
+                below, above = ev[k - 1] if k else 0, ev[end] if end < size else 0
                 for params in found:
                     # Key first, build only new positions.  Equal keys differ
                     # only by distant crossing swaps, which keep index
                     # validity, counts and component count: the word first
                     # seen with a key has them.
                     rewrite = _rewrite(rule, window, params, n)
-                    events = head + rewrite[0] + tail
-                    # An ordered word stays ordered under an order-keeping
-                    # rewrite: its key is itself, with no scan.
-                    key = events if ordered and rewrite[4] else canonical_key(events)
+                    new = rewrite[0]
+                    events = head + new + tail
+                    # Order is a property of adjacent pairs (moves._normal),
+                    # so the child of an ordered word is ordered, and its own
+                    # key with no scan, when the rewrite is in order and so
+                    # are its seams (below, first) and (last, above); round
+                    # an empty rewrite both are (below, above).
+                    key = events
+                    first, last = (rewrite[5], rewrite[6]) if new else (above, below)
+                    if not (ordered and rewrite[4]) or (
+                        below & first & 2 and first >> 2 < (below >> 2) - 1
+                        or last & above & 2 and above >> 2 < (last >> 2) - 1
+                    ):
+                        key = _normal(events)
                     seen = len(visited)
                     visited.add(key)  # one hash per key
                     if len(visited) == seen:

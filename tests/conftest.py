@@ -43,6 +43,20 @@ def random_closed_events(
             return events
 
 
+def random_events(rng: random.Random) -> list[MorseEvent]:
+    """Events of any kind and index, often in long crossing runs."""
+    events = []
+    for _ in range(rng.randint(0, 40)):
+        pick = rng.randrange(8)
+        if pick == 0:
+            events.append(cup(rng.randint(1, 9)))
+        elif pick == 1:
+            events.append(cap(rng.randint(1, 9)))
+        else:
+            events.append(cross(rng.randint(1, 9), rng.choice((1, -1))))
+    return events
+
+
 def random_closed_word(rng: random.Random, **kw) -> MorseWord:
     return MorseWord(random_closed_events(rng, **kw))
 

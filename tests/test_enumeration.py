@@ -25,8 +25,9 @@ def test_running_counts_equal_the_simulated_counts():
     pairs = 0
     for _ in range(400):
         word = random_closed_word(rng)
-        assert moves_mod._counts(word.events) == word.counts, str(word)
-        entries = list(moves_mod._sites(word.events, None))
+        codes = moves_mod._encode(word.events)
+        assert moves_mod._counts(codes) == word.counts, str(word)
+        entries = list(moves_mod._sites(codes, None))
         assert all(n == word.counts[k] for k, n, *_ in entries), str(word)
         pairs += sum(len(found) for *_, found in entries)  # moves, not entries
     assert pairs > 10_000

@@ -8,10 +8,12 @@ boundary matching that licenses a splice must agree with the independent
 component walk of ``tests/oracles.py``, and a rewrite that breaks locality
 must be refused, by a search and by ``apply_move`` alike.
 A rule replaced in the table is seen by the next search once both caches
-are emptied, as the ``patch_rule`` fixture does.  A position in
-``canonical_key`` normal form is flagged ordered, and its children by an
-order-keeping rewrite are keyed by their events with no scan: every flag
-must equal the scan's answer.
+are emptied, as the ``patch_rule`` fixture does.  A search runs on int
+event codes, decoded here wherever events are compared.  A position in
+``canonical_key`` normal form is flagged ordered, and its child by a
+rewrite that is in order, with its two seams in order, is keyed by its
+events with no scan: every flag must equal the scan's answer, and a seam
+check that ignores either seam must be caught.
 """
 
 import random
@@ -28,6 +30,8 @@ from morsewidth.invariants import level_profile
 from morsewidth.moves import (
     Move,
     MoveKind,
+    _decode,
+    _encode,
     apply_move,
     canonical_key,
     enumerate_moves,
@@ -45,7 +49,7 @@ def children(monkeypatch):
 
     def recording(objective, parent, kind, site, params, events, rewrite, ordered):
         candidate = original(objective, parent, kind, site, params, events, rewrite, ordered)
-        made.append((objective, parent[1], Move(kind, site, params), candidate))
+        made.append((objective, _decode(parent[1]), Move(kind, site, params), candidate))
         return candidate
 
     monkeypatch.setattr(search_mod, "_child", recording)
@@ -83,8 +87,9 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     visited += sum(result.visited - 1 for result in random_searches(objective))
     assert len(children) == visited > 5000
     kept_key = 0
-    for searched_for, parent_events, move, (key, events, trail, _) in children:
+    for searched_for, parent_events, move, (key, codes, trail, _) in children:
         assert searched_for is objective and Move(*trail[1:]) == move
+        events = _decode(codes)
         parent, simulated = MorseWord(parent_events), MorseWord(events)
         assert simulated.component_count == parent.component_count
         assert key == objective.key(simulated), str(simulated)
@@ -98,16 +103,34 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     assert 0 < kept_key < len(children)
 
 
+def in_normal_form(codes) -> bool:
+    events = _decode(codes)
+    return canonical_key(events) == events
+
+
+def seams(parent_codes, site, width, new):
+    """The pairs a rewrite of ``width`` codes at ``site`` makes with the word
+    round it: (below, first) and (last, above), or (below, above) for an
+    empty rewrite; a cup code, 0, stands in past either end."""
+    padded = (0, *parent_codes, 0)
+    below, above = padded[site], padded[site + width + 1]
+    return [(below, new[0]), (new[-1], above)] if new else [(below, above)]
+
+
 @pytest.fixture
 def orders(monkeypatch):
     """(skipped, events, ordered) of every new position, where skipped means
-    that its parent was ordered and its rewrite keeps order, so that the
-    search took its events as its key with no scan."""
+    that its parent was ordered, its rewrite is in normal form and so is each
+    pair at its seams (as ``canonical_key`` decides on the decoded events),
+    so that the search took its events as its key with no scan."""
     made = []
     original = search_mod._child
 
     def recording(objective, parent, kind, site, params, events, rewrite, ordered):
-        made.append((parent[3] and rewrite[4], events, ordered))
+        width = moves_mod._RULES[kind].width
+        pairs = [rewrite[0], *seams(parent[1], site, width, rewrite[0])]
+        skipped = parent[3] and all(map(in_normal_form, pairs))
+        made.append((skipped, events, ordered))
         return original(objective, parent, kind, site, params, events, rewrite, ordered)
 
     monkeypatch.setattr(search_mod, "_child", recording)
@@ -122,7 +145,7 @@ def misordered(made):
     return [
         events
         for skipped, events, ordered in made
-        if ordered != (canonical_key(events) == events) or (skipped and not ordered)
+        if ordered != in_normal_form(events) or (skipped and not ordered)
     ]
 
 
@@ -157,13 +180,14 @@ def test_ordered_flags_equal_the_scan(orders):
 
 def test_a_rewrite_claiming_order_for_crossings_is_caught(monkeypatch, orders):
     # R2Insert puts two crossings into the word, which may land out of order
-    # next to a crossing already there.
+    # next to a crossing already there: here its first and last codes are
+    # claimed to be cups, which are in order next to anything.
     r2_insert = moves_mod._RULES[MoveKind.R2_INSERT]
     original = moves_mod._rewrite
 
     def claiming(rule, window, params, n0):
         entry = original(rule, window, params, n0)
-        return entry[:4] + (True,) if rule is r2_insert else entry
+        return entry[:4] + (True, 0, 0) if rule is r2_insert else entry
 
     monkeypatch.setattr(search_mod, "_rewrite", claiming)
     for _ in every_search(Objective()):
@@ -171,26 +195,51 @@ def test_a_rewrite_claiming_order_for_crossings_is_caught(monkeypatch, orders):
     assert len(misordered(orders)) > 100
 
 
-def test_keeps_order_means_no_crossing_in_or_out():
+@pytest.mark.parametrize("seam", [5, 6], ids=["lower", "upper"])
+def test_a_seam_check_that_ignores_one_seam_is_caught(monkeypatch, orders, seam):
+    # A cup code in place of the rewrite's first (last) code is in order with
+    # any code below (above) it: the search no longer checks that seam.
+    original = moves_mod._rewrite
+
+    def ignoring(rule, window, params, n0):
+        entry = original(rule, window, params, n0)
+        return entry[:seam] + (0,) + entry[seam + 1 :] if entry[0] else entry
+
+    monkeypatch.setattr(search_mod, "_rewrite", ignoring)
+    for _ in every_search(Objective()):
+        pass
+    assert len(misordered(orders)) > 100
+
+
+def test_seams_decide_the_order_of_a_child():
     rng = random.Random(12)
-    kept, stayed = set(), 0
+    kept, stayed, left = set(), 0, 0
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        ordered = canonical_key(word.events) == word.events
-        for k, n, kind, rule, found in moves_mod._sites(word.events, None):
-            window = word.events[k : k + rule.width]
+        codes = _encode(word.events)
+        ordered = in_normal_form(codes)
+        for k, n, kind, rule, found in moves_mod._sites(codes, None):
+            window = codes[k : k + rule.width]
             for params in found:
-                new, *_, keeps_order = moves_mod._rewrite(rule, window, params, n)
-                no_crossing = all(e.kind is not EventKind.CROSS for e in window + new)
-                assert keeps_order is (bool(new) and no_crossing)
-                if keeps_order:
+                new, *_, in_order, first, last = moves_mod._rewrite(rule, window, params, n)
+                assert in_order is in_normal_form(new)
+                assert (first, last) == ((new[0], new[-1]) if new else (None, None))
+                if not ordered:
+                    continue
+                # A child of an ordered word is ordered exactly when its
+                # rewrite and both seams are.
+                out = apply_move(word, Move(kind, k, params)).events
+                pairs = [new, *seams(codes, k, rule.width, new)]
+                assert (canonical_key(out) == out) is all(map(in_normal_form, pairs))
+                if all(map(in_normal_form, pairs)):
                     kept.add(kind)
-                if keeps_order and ordered:  # an ordered word stays ordered
-                    out = apply_move(word, Move(kind, k, params)).events
-                    assert canonical_key(out) == out
                     stayed += 1
-    assert kept == {MoveKind.COMMUTE_DISTANT, MoveKind.ZIGZAG_INSERT}
-    assert stayed > 500
+                else:
+                    left += 1
+    # Unlike a rule that keeps order only when no crossing goes in or out,
+    # the seams keep it for every kind of move.
+    assert kept == set(MoveKind)
+    assert stayed > 5000 and left > 200
 
 
 def random_window(rng: random.Random, n: int, length: int):
@@ -231,15 +280,16 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
     rng = random.Random(11)
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        for k, n, kind, rule, found in moves_mod._sites(word.events, None):
+        codes = _encode(word.events)
+        for k, n, kind, rule, found in moves_mod._sites(codes, None):
             end = k + rule.width
-            window = word.events[k:end]
+            window = codes[k:end]
             for params in found:
-                new, flat, width_change, critical_change, _ = moves_mod._rewrite(
+                new, flat, width_change, critical_change, *_ = moves_mod._rewrite(
                     rule, window, params, n
                 )
                 out = apply_move(word, Move(kind, k, params))
-                assert out.events == word.events[:k] + new + word.events[end:]
+                assert out.events == word.events[:k] + _decode(new) + word.events[end:]
                 levels = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
                 below = [c for c, d in zip(word.counts, word.counts[1:]) if c != d]
                 assert flat is (levels == below)
@@ -292,7 +342,8 @@ def test_the_local_check_counts_loops_and_refuses_none():
     # A window and its rewrite that each close one loop keep the component
     # count: a check that read them as tangles would refuse both loops.
     moved = moves_mod._Rule(2, 0, False, lambda w, n: [()], lambda w, p: (cup(3), cap(3)))
-    assert moves_mod._rewrite(moved, (cup(1), cap(1)), (), 2)[0] == (cup(3), cap(3))
+    new = moves_mod._rewrite(moved, _encode((cup(1), cap(1))), (), 2)[0]
+    assert _decode(new) == (cup(3), cap(3))
 
 
 def test_inverse_move_refuses_when_no_listed_move_undoes(patch_rule):
@@ -313,7 +364,7 @@ def test_result_refuses_another_component_count(monkeypatch, exhaustive):
 
     def looped(*args):
         new, *_ = original(*args)
-        return (new + (cup(1), cap(1)), False, -100, -100, False)
+        return (new + _encode((cup(1), cap(1))), False, -100, -100, False, None, None)
 
     monkeypatch.setattr(search_mod, "_rewrite", looped)
     start = catalog("padded_trefoil")

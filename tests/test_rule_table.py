@@ -52,7 +52,7 @@ def test_a_cancel_mirrors_its_insertion(cancel):
 
 
 def kinds_at(window, n):
-    return [kind for kind, _, _ in moves_mod._site(tuple(window), n)]
+    return [kind for kind, _, _ in moves_mod._site(moves_mod._encode(window), n)]
 
 
 def test_a_cancel_follows_a_patched_insertion(patch_rule):

@@ -22,9 +22,9 @@ import pytest
 import morsewidth.invariants as invariants_mod
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
-from conftest import clear_move_caches, random_closed_events
+from conftest import clear_move_caches, random_closed_events, random_events
 from morsewidth.catalog import catalog, pad_with_fingers
-from morsewidth.events import MorseEvent, MorseWord, cap, cross, cup
+from morsewidth.events import MorseWord, cap, cross, cup
 from morsewidth.moves import Move, MoveKind, canonical_key, enumerate_moves
 from morsewidth.search import SearchConfig, beam_search, exhaustive_min
 from oracles import oracle_canonical_key
@@ -134,7 +134,8 @@ def test_a_search_reads_the_sites_enumerate_moves_cached(cold_memos):
 
 def test_site_entries_at_one_strand_count_share_their_insertion_lists(cold_memos):
     n = 4
-    entries = [moves_mod._site(window, n) for window in ((cup(1), cap(2)), (cross(1, 1),), ())]
+    windows = ((cup(1), cap(2)), (cross(1, 1),), ())
+    entries = [moves_mod._site(moves_mod._encode(window), n) for window in windows]
     found = [{kind: moves for kind, _, moves in entry} for entry in entries]
     for kind in (MoveKind.ZIGZAG_INSERT, MoveKind.R2_INSERT):
         first, *others = [moves[kind] for moves in found]
@@ -146,7 +147,7 @@ def test_site_entries_at_one_strand_count_share_their_insertion_lists(cold_memos
 def test_memo_keys_hold_the_rules_themselves(cold_memos):
     # An equal copy of a rule is another key of the rewrite cache.
     rule = moves_mod._RULES[MoveKind.R2_CANCEL]
-    window, n0 = (cross(1, 1), cross(1, -1)), 2
+    window, n0 = moves_mod._encode((cross(1, 1), cross(1, -1))), 2
     entry = moves_mod._rewrite(rule, window, (), n0)
     assert moves_mod._rewrite(rule, window, (), n0) is entry
     again = moves_mod._rewrite(dataclasses.replace(rule), window, (), n0)
@@ -185,20 +186,6 @@ def test_width_search_builds_two_profiles(profiles, name):
     assert result.visited > 100
     # One for the start's key and one for the report of the word returned.
     assert profiles == [start, result.best_word]
-
-
-def random_events(rng: random.Random) -> list[MorseEvent]:
-    """Events of any kind and index, often in long crossing runs."""
-    events = []
-    for _ in range(rng.randint(0, 40)):
-        pick = rng.randrange(8)
-        if pick == 0:
-            events.append(cup(rng.randint(1, 9)))
-        elif pick == 1:
-            events.append(cap(rng.randint(1, 9)))
-        else:
-            events.append(cross(rng.randint(1, 9), rng.choice((1, -1))))
-    return events
 
 
 def test_canonical_key_equals_the_bubble_oracle():
