@@ -46,7 +46,7 @@ class EventKind(Enum):
 class _EventFields(NamedTuple):
     kind: EventKind
     index: int
-    sign: int = 0  # +1 or -1 for crossings, 0 otherwise
+    sign: int  # +1 or -1 for crossings, 0 otherwise
 
 
 class MorseEvent(_EventFields):

@@ -26,13 +26,13 @@ LENGTH_DELTA and WRITHE_CHANGING all derive from the table.
 The search loop and both its caches run on int event codes (``_code``):
 ``_site``, keyed by the codes from a site and the strand count below it,
 lists the site's moves (``_sites`` yields one entry per site and rule), and
-``_rewrite`` licenses a rewrite by its local check and says whether it is
-in normal form (``_normal``).  On a miss each decodes its window for the
-rules, which see only events; ``enumerate_moves``, ``apply_move``,
-``inverse_move`` and ``canonical_key`` encode at entry.  A rule's
-``params`` and ``rewrite`` are called only in the two caches and in
-``_images``, of the rewrites an insertion makes; each is an ``lru_cache``
-of at most ``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not
+``_rewrite`` licenses a rewrite by its local check and says what it does
+to the levels and whether it is in normal form (``_normal``).  On a miss
+each decodes its window for the rules, which see only events;
+``enumerate_moves``, ``apply_move``, ``inverse_move`` and ``canonical_key``
+encode at entry.  A rule's ``params`` and ``rewrite`` are called only in
+the two caches and in ``_images``, of the rewrites an insertion makes;
+each is an ``lru_cache`` of at most ``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not
 seen by a cached entry: empty the caches.
 
 Crossing-only moves never touch the level profile; width changes come
@@ -225,10 +225,11 @@ _REACH = max(rule.width for rule in _RULES.values())
 
 # Entries each cache below may hold, least recently used out.  A site entry
 # takes about 0.4 KB at 4 strands and 0.7 KB at 10, a rewrite entry about
-# 0.35 KB and a kink's image entry 0.6 KB (a finger's, one per strand count,
+# 0.4 KB and a kink's image entry 0.6 KB (a finger's, one per strand count,
 # 8 KB at 10), so each stays under some 20 MiB; 1,824 random-knot searches
 # fill 1,023 site and rewrite entries.  An event's code, or a code's event,
-# takes about 0.2 KB.
+# takes about 0.2 KB.  search._level_key has the same cap: an entry takes
+# about 0.4 KB at 8 levels and 0.5 KB at 24, its levels included.
 _MEMO_CAP = 1 << 14
 
 
@@ -314,17 +315,20 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
 @lru_cache(maxsize=_MEMO_CAP)
 def _rewrite(rule: _Rule, codes: tuple[int, ...], params: tuple, n0: int) -> tuple:
     """(rewrite codes, flat, width change, critical change, in order, first
-    code, last code) of a move on the window ``codes`` with ``n0`` strands
-    below it.  The local check sweeps the decoded window and its rewrite
-    from n0 strands: the rewrite needs no local fault and the window's top
-    count, boundary matching and closed loops, which keeps the strand
-    counts outside the window and the component count in any word, else
-    InvalidMove.  Flat means equal levels.  Both levels end at the same top
-    count, so the Gabai width of any word the move applies to changes by
-    the difference of their sums and its critical count by the difference
-    of their lengths.  In order means that the rewrite is its own normal
-    form (``_normal``); its first and last codes, None when it is empty, are
-    what the search compares across its seams with the word."""
+    code, last code, new levels, cups and caps) of a move on the window
+    ``codes`` with ``n0`` strands below it.  The local check sweeps the
+    decoded window and its rewrite from n0 strands: the rewrite needs no
+    local fault and the window's top count, boundary matching and closed
+    loops, which keeps the strand counts outside the window and the
+    component count in any word, else InvalidMove.  Flat means equal
+    levels.  Both levels end at the same top count, so the Gabai width of
+    any word the move applies to changes by the difference of their sums
+    and its critical count by the difference of their lengths.  In order
+    means that the rewrite is its own normal form (``_normal``); its first
+    and last codes, None when it is empty, are what the search compares
+    across its seams with the word.  The new levels are the rewrite's
+    levels without the top count: in the word's levels they take the place
+    of the counts below the window's cups and caps."""
     window = _decode(codes)
     new = rule.rewrite(window, params)
     before, after = _simulate(window, n0), _simulate(new, n0)
@@ -335,7 +339,8 @@ def _rewrite(rule: _Rule, codes: tuple[int, ...], params: tuple, n0: int) -> tup
     old, now, code = levels(before.counts), levels(after.counts), _encode(new)
     inner = _normal(code) is code
     first, last = (code[0], code[-1]) if code else (None, None)
-    return (code, old == now, sum(now) - sum(old), len(now) - len(old), inner, first, last)
+    change = (sum(now) - sum(old), len(now) - len(old))
+    return (code, old == now, *change, inner, first, last, now[:-1], len(old) - 1)
 
 
 def inverse_move(word: MorseWord, move: Move) -> Move:

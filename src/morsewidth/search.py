@@ -1,11 +1,16 @@
 """Search over the move graph for good positions of a fixed knot.
 
-A node is a position (key, events, trail, ordered), its events the int
-codes of ``moves._encode``; edges are rewrite moves, and the strand counts
-that a move or a key needs are summed from the codes.  Only the word a
-search returns is decoded and built as a validated ``MorseWord``, and only
-its trace as ``Move`` objects.  Positions are deduplicated by the normal
-form of their codes (``moves._normal``, which ``canonical_key`` runs too).
+A node is a position (key, events, trail, ordered, levels), its events the
+int codes of ``moves._encode``; edges are rewrite moves, and the strand
+counts that a move needs are summed from the codes.  A child's width or
+critical-count key is its parent's plus the rewrite's change.  A search
+for any other key carries each position's levels: a child splices its
+parent's with the rewrite's, and takes its key from one bounded memo,
+``_level_key``, which builds a level profile only for levels it has not
+keyed.  Only the word a search returns is decoded and built as a validated
+``MorseWord``, and only its trace as ``Move`` objects.  Positions are
+deduplicated by the normal form of their codes (``moves._normal``, which
+``canonical_key`` runs too).
 Order is a property of adjacent pairs, so an ordered position is its own
 key, and so is its child by a rewrite that is in order inside and with
 the codes at its two seams: that needs no scan.
@@ -20,6 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +40,7 @@ from .invariants import (
     level_profile,
     levels,
 )
-from .moves import Move, MoveKind, _counts, _decode, _encode, _normal, _rewrite, _sites
+from .moves import _MEMO_CAP, Move, MoveKind, _decode, _encode, _normal, _rewrite, _sites
 
 
 class ObjectiveKind(Enum):
@@ -60,7 +67,15 @@ _PROFILE_KEYS: dict[ObjectiveKind, Callable[[LevelProfile], tuple]] = {
 
 # Keys that sum over the steps of the strand counts (the cups and caps), so
 # a rewrite changes them by its change, a field of its moves._rewrite entry.
+# A search for any other key carries each position's levels.
 _DELTA_FIELDS = {ObjectiveKind.GABAI_WIDTH: 2, ObjectiveKind.CRITICAL_COUNT: 3}
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _level_key(kind: ObjectiveKind, levels: tuple[int, ...]) -> tuple:
+    """The ``kind`` key of a position with these levels: a search builds a
+    level profile only the first time it meets them."""
+    return _PROFILE_KEYS[kind](LevelProfile(levels))
 
 
 @dataclass(frozen=True)
@@ -106,18 +121,20 @@ _BEAM_NODE_CAP = 1_000_000
 _EXHAUSTIVE_NODE_CAP = 200_000
 
 
-# A position is its events, with its objective key.  A trail is None at the
-# start word, else (the parent's trail, kind, site, params) of the move from
-# the parent: the trace as a parent-pointer chain, unwound once into Moves.
-# Ordered means the events are their own canonical key (canonical_key
-# returns them as they are).
-_Candidate = tuple[tuple, tuple, Optional[tuple], bool]  # (key, events, trail, ordered)
+# A position is (key, events, trail, ordered, levels): its events, with its
+# objective key.  A trail is None at the start word, else (the parent's
+# trail, kind, site, params) of the move from the parent: the trace as a
+# parent-pointer chain, unwound once into Moves.  Ordered means the events
+# are their own canonical key (canonical_key returns them as they are).  The
+# levels are the events' levels in a search that carries them (see
+# _DELTA_FIELDS), else None.
+_Candidate = tuple[tuple, tuple, Optional[tuple], bool, Optional[tuple]]
 
 
 def _result(best: _Candidate, visited: int, start: MorseWord) -> SearchResult:
     """The result, its word built by the validating constructor, which must
     give the start's component count."""
-    key, events, trail, _ = best
+    key, events, trail, _, _ = best
     moves = []
     while trail is not None:
         trail, kind, site, params = trail
@@ -138,20 +155,25 @@ def _child(
     events: tuple,
     rewrite: tuple,
     ordered: bool,
+    starts: Optional[list[int]],
 ) -> _Candidate:
     """The candidate of the new position ``events``, made by the move
     (kind, site, params), whose moves._rewrite entry is ``rewrite``.  A flat
-    rewrite keeps every key; the width and critical-count keys change by the
-    rewrite's change, and the others are read off the levels of the new
-    strand counts."""
-    key, _, trail, _ = parent
+    rewrite keeps the key and the levels, which the child shares.  With no
+    levels carried (``starts`` None) the width or critical-count key changes
+    by the rewrite's change.  Otherwise ``starts[site]`` is the number of
+    cups and caps below the site, where the window's levels start in the
+    parent's: the rewrite's new levels take the place of the window's, and
+    the key of the spliced levels comes from ``_level_key``."""
+    key, _, trail, _, lv = parent
     if not rewrite[1]:
-        field = _DELTA_FIELDS.get(objective.kind)
-        if field is None:
-            key = _PROFILE_KEYS[objective.kind](LevelProfile(levels(_counts(events))))
+        if starts is None:
+            key = (key[0] + rewrite[_DELTA_FIELDS[objective.kind]],)
         else:
-            key = (key[0] + rewrite[field],)
-    return (key, events, (trail, kind, site, params), ordered)
+            j = starts[site]
+            lv = lv[:j] + rewrite[7] + lv[j + rewrite[8] :]
+            key = _level_key(objective.kind, lv)
+    return (key, events, (trail, kind, site, params), ordered, lv)
 
 
 def _frontier_search(
@@ -172,7 +194,10 @@ def _frontier_search(
     start_events = _encode(start.events)
     start_key = _normal(start_events)
     visited = {start_key}
-    best: _Candidate = (objective.key(start), start_events, None, start_key is start_events)
+    carry = objective.kind not in _DELTA_FIELDS
+    start_levels = levels(start.counts) if carry else None
+    ordered = start_key is start_events
+    best: _Candidate = (objective.key(start), start_events, None, ordered, start_levels)
     frontier = [best]
 
     for _ in range(steps):
@@ -180,6 +205,8 @@ def _frontier_search(
         for parent in frontier:
             ev, ordered = parent[1], parent[3]
             size = len(ev)
+            # Where each site's levels start: the cups and caps below it.
+            starts = [*accumulate([not c & 2 for c in ev], initial=0)] if carry else None
             for k, n, kind, rule, found in _sites(ev, max_len - size):
                 end = k + rule.width
                 head, window, tail = ev[:k], ev[k:end], ev[end:]
@@ -209,9 +236,10 @@ def _frontier_search(
                     visited.add(key)  # one hash per key
                     if len(visited) == seen:
                         continue
-                    candidates.append(
-                        _child(objective, parent, kind, k, params, events, rewrite, key is events)
+                    child = _child(
+                        objective, parent, kind, k, params, events, rewrite, key is events, starts
                     )
+                    candidates.append(child)
                     if len(visited) > node_cap:
                         best = min([best, *candidates], key=itemgetter(0))
                         raise BudgetExceeded(

@@ -13,6 +13,7 @@ import random
 import pytest
 
 import morsewidth.moves as moves_mod
+import morsewidth.search as search_mod
 from morsewidth.events import MorseEvent, MorseWord, cap, cross, cup
 
 
@@ -105,11 +106,12 @@ def rng() -> random.Random:
 
 
 def clear_move_caches() -> None:
-    """Empty every move cache: the site moves, rewrites and insertion images
-    that every search shares."""
+    """Empty every cache that every search shares: the site moves, rewrites
+    and insertion images, and the keys of levels."""
     moves_mod._site.cache_clear()
     moves_mod._rewrite.cache_clear()
     moves_mod._images.cache_clear()
+    search_mod._level_key.cache_clear()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morsewidth.bracket import jones_normalized
 from morsewidth.catalog import (
     catalog,
     entries,
@@ -42,6 +43,11 @@ class TestFrozenEntries:
     def test_closed_reports(self, name, w, t, h, b):
         rep = embedding_report(catalog(name))
         assert (rep.width, rep.trunk, rep.height, rep.bridge) == (w, t, h, b)
+
+    def test_figure8_bracket(self):
+        # The level report alone would pass another knot with the same levels.
+        bracket = jones_normalized(catalog("figure8_plat"))
+        assert bracket.coefficients() == {8: 1, 4: -1, 0: 1, -4: -1, -8: 1}
 
     def test_otp_vectors(self):
         assert embedding_report(catalog("trefoil_plat")).otp_vector == (4,)
@@ -166,8 +172,6 @@ class TestPadWithFingers:
         assert rep2.trunk == rep0.trunk + 4
 
     def test_knot_preserved(self):
-        from morsewidth.bracket import jones_normalized
-
         base = catalog("trefoil_plat")
         assert jones_normalized(pad_with_fingers(base, 2)) == jones_normalized(base)
 

@@ -128,6 +128,13 @@ class TestSumCompareBracket:
         assert code == 0
         assert out.strip() == "less"
 
+    def test_compare_greater(self, capsys):
+        code, out, _ = run(
+            capsys, "compare", "catalog:padded_trefoil", "catalog:trefoil_plat"
+        )
+        assert code == 0
+        assert out.strip() == "greater"
+
     def test_compare_equal(self, capsys):
         _, out, _ = run(capsys, "compare", TREFOIL, "catalog:trefoil_plat")
         assert out.strip() == "equal"

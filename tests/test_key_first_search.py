@@ -41,7 +41,7 @@ def simulations(monkeypatch):
 
 @pytest.fixture
 def patched(monkeypatch):
-    """Every position a search splices from its parent: (key, events, trail, ordered)."""
+    """Every position a search splices from its parent: (key, events, trail, ordered, levels)."""
     positions = []
     original = search_mod._child
 
@@ -78,7 +78,7 @@ def test_search_patches_each_new_position_once(patched, search):
     result = search(start)
     assert result.visited > 500
     assert len(patched) == result.visited - 1
-    assert len({events for _, events, _, _ in patched}) == len(patched)
+    assert len({events for _, events, *_ in patched}) == len(patched)
 
 
 def test_component_change_is_refused_inside_a_search(patch_rule):

@@ -3,10 +3,11 @@ of simulating them, and two caches feed it: the moves valid at a site and
 the checked rewrite of a window.
 
 Every spliced position must equal the validating constructor's word
-(component count and objective key) and the table rule's own rewrite, the
-boundary matching that licenses a splice must agree with the independent
-component walk of ``tests/oracles.py``, and a rewrite that breaks locality
-must be refused, by a search and by ``apply_move`` alike.
+(component count, objective key and carried levels) and the table rule's
+own rewrite, the boundary matching that licenses a splice must agree with
+the independent component walk of ``tests/oracles.py``, and a rewrite
+that breaks locality must be refused, by a search and by ``apply_move``
+alike.
 A rule replaced in the table is seen by the next search once both caches
 are emptied, as the ``patch_rule`` fixture does.  A search runs on int
 event codes, decoded here wherever events are compared.  A position in
@@ -26,7 +27,7 @@ from conftest import random_closed_word, random_knot_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseWord, _validated_trace, cap, cross, cup
-from morsewidth.invariants import level_profile
+from morsewidth.invariants import level_profile, levels
 from morsewidth.moves import (
     Move,
     MoveKind,
@@ -43,13 +44,15 @@ from oracles import oracle_components, oracle_matching
 
 @pytest.fixture
 def children(monkeypatch):
-    """(objective, parent events, move, candidate) of every new position."""
+    """(objective, parent, move, flat, candidate) of every new position, where
+    flat says that its rewrite keeps the levels."""
     made = []
     original = search_mod._child
 
-    def recording(objective, parent, kind, site, params, events, rewrite, ordered):
-        candidate = original(objective, parent, kind, site, params, events, rewrite, ordered)
-        made.append((objective, _decode(parent[1]), Move(kind, site, params), candidate))
+    def recording(*args):
+        objective, parent, kind, site, params, _, rewrite, _, _ = args
+        candidate = original(*args)
+        made.append((objective, parent, Move(kind, site, params), rewrite[1], candidate))
         return candidate
 
     monkeypatch.setattr(search_mod, "_child", recording)
@@ -87,12 +90,18 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     visited += sum(result.visited - 1 for result in random_searches(objective))
     assert len(children) == visited > 5000
     kept_key = 0
-    for searched_for, parent_events, move, (key, codes, trail, _) in children:
+    carried = kind not in (ObjectiveKind.GABAI_WIDTH, ObjectiveKind.CRITICAL_COUNT)
+    for searched_for, (_, parent_codes, _, _, parent_levels), move, flat, child in children:
+        key, codes, trail, _, lv = child
         assert searched_for is objective and Move(*trail[1:]) == move
-        events = _decode(codes)
+        parent_events, events = _decode(parent_codes), _decode(codes)
         parent, simulated = MorseWord(parent_events), MorseWord(events)
         assert simulated.component_count == parent.component_count
         assert key == objective.key(simulated), str(simulated)
+        # The spliced levels are the new word's own, or None where none are
+        # carried; a flat rewrite's child shares its parent's tuple.
+        assert lv == (levels(simulated.counts) if carried else None)
+        assert lv is parent_levels or not flat
         # The table's own rule, not apply_move, which shares the search's caches.
         k, rule = move.site, moves_mod._RULES[move.kind]
         window = parent_events[k : k + rule.width]
@@ -126,12 +135,12 @@ def orders(monkeypatch):
     made = []
     original = search_mod._child
 
-    def recording(objective, parent, kind, site, params, events, rewrite, ordered):
+    def recording(objective, parent, kind, site, params, events, rewrite, ordered, starts):
         width = moves_mod._RULES[kind].width
         pairs = [rewrite[0], *seams(parent[1], site, width, rewrite[0])]
         skipped = parent[3] and all(map(in_normal_form, pairs))
         made.append((skipped, events, ordered))
-        return original(objective, parent, kind, site, params, events, rewrite, ordered)
+        return original(objective, parent, kind, site, params, events, rewrite, ordered, starts)
 
     monkeypatch.setattr(search_mod, "_child", recording)
     return made
@@ -187,7 +196,7 @@ def test_a_rewrite_claiming_order_for_crossings_is_caught(monkeypatch, orders):
 
     def claiming(rule, window, params, n0):
         entry = original(rule, window, params, n0)
-        return entry[:4] + (True, 0, 0) if rule is r2_insert else entry
+        return entry[:4] + (True, 0, 0) + entry[7:] if rule is r2_insert else entry
 
     monkeypatch.setattr(search_mod, "_rewrite", claiming)
     for _ in every_search(Objective()):
@@ -221,7 +230,7 @@ def test_seams_decide_the_order_of_a_child():
         for k, n, kind, rule, found in moves_mod._sites(codes, None):
             window = codes[k : k + rule.width]
             for params in found:
-                new, *_, in_order, first, last = moves_mod._rewrite(rule, window, params, n)
+                new, *_, in_order, first, last, _, _ = moves_mod._rewrite(rule, window, params, n)
                 assert in_order is in_normal_form(new)
                 assert (first, last) == ((new[0], new[-1]) if new else (None, None))
                 if not ordered:
@@ -285,14 +294,16 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
             end = k + rule.width
             window = codes[k:end]
             for params in found:
-                new, flat, width_change, critical_change, *_ = moves_mod._rewrite(
-                    rule, window, params, n
-                )
+                entry = moves_mod._rewrite(rule, window, params, n)
+                new, flat, width_change, critical_change, *_, inner, replaced = entry
                 out = apply_move(word, Move(kind, k, params))
                 assert out.events == word.events[:k] + _decode(new) + word.events[end:]
-                levels = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
-                below = [c for c, d in zip(word.counts, word.counts[1:]) if c != d]
-                assert flat is (levels == below)
+                now = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
+                old = [c for c, d in zip(word.counts, word.counts[1:]) if c != d]
+                assert flat is (now == old)
+                # The new levels take the place of the window's cups and caps.
+                j = sum(e.kind is not EventKind.CROSS for e in word.events[:k])
+                assert old[:j] + list(inner) + old[j + replaced :] == now
                 assert width_change == level_profile(out).width - level_profile(word).width
                 critical = [
                     sum(e.kind is not EventKind.CROSS for e in w.events) for w in (word, out)
@@ -363,8 +374,9 @@ def test_result_refuses_another_component_count(monkeypatch, exhaustive):
     original = moves_mod._rewrite
 
     def looped(*args):
-        new, *_ = original(*args)
-        return (new + _encode((cup(1), cap(1))), False, -100, -100, False, None, None)
+        new, *_, inner, critical = original(*args)
+        loop = _encode((cup(1), cap(1)))
+        return (new + loop, False, -100, -100, False, None, None, inner, critical)
 
     monkeypatch.setattr(search_mod, "_rewrite", looped)
     start = catalog("padded_trefoil")

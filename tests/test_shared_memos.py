@@ -8,7 +8,11 @@ shared list.  Each cache is bounded, least recently used out, and a
 search reads the same moves from a small cache as from a large one.  The
 width and critical-count keys of a new position are its parent's key plus
 the window's change, so a width search builds no level profile for its
-candidates.  ``canonical_key``
+candidates.  The other keys come from one bounded memo of keys by levels,
+so a second identical search of them builds no level profile either, and
+a memo of four entries gives the same searches.  The seam check spares
+most children of ordered positions a normal-form scan, and one fixed
+search pins how many scans remain.  ``canonical_key``
 scans once and sorts only the sequences that need it; it must equal the
 bubble passes of ``tests/oracles.py`` on every input.
 """
@@ -26,7 +30,7 @@ from conftest import clear_move_caches, random_closed_events, random_events
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.events import MorseWord, cap, cross, cup
 from morsewidth.moves import Move, MoveKind, canonical_key, enumerate_moves
-from morsewidth.search import SearchConfig, beam_search, exhaustive_min
+from morsewidth.search import Objective, ObjectiveKind, SearchConfig, beam_search, exhaustive_min
 from oracles import oracle_canonical_key
 
 
@@ -186,6 +190,73 @@ def test_width_search_builds_two_profiles(profiles, name):
     assert result.visited > 100
     # One for the start's key and one for the report of the word returned.
     assert profiles == [start, result.best_word]
+
+
+@pytest.fixture
+def keyed(monkeypatch):
+    """The levels of every level profile a search's key memo builds."""
+    built = []
+    original = search_mod.LevelProfile
+
+    def counting(levels):
+        built.append(levels)
+        return original(levels)
+
+    monkeypatch.setattr(search_mod, "LevelProfile", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["padded_trefoil", "bt134"])
+def test_a_second_otp_search_builds_two_profiles(cold_memos, profiles, keyed, name):
+    start, otp = catalog(name), Objective(ObjectiveKind.OTP_LEX)
+    first = beam_search(start, otp, SearchConfig(max_steps=4))
+    # A profile per distinct levels of a new position, not one per position.
+    assert len(set(keyed)) == len(keyed) and 0 < 10 * len(keyed) < first.visited
+    profiles.clear()
+    keyed.clear()
+    second = beam_search(start, otp, SearchConfig(max_steps=4))
+    assert profiles == [start, second.best_word] and keyed == []
+    assert (second.best_word, second.trace, second.visited) == (
+        first.best_word,
+        first.trace,
+        first.visited,
+    )
+
+
+LEVEL_KEYS = [ObjectiveKind.OTP_LEX, ObjectiveKind.HEIGHT, ObjectiveKind.TRUNK_ONLY]
+
+
+@pytest.mark.parametrize("kind", LEVEL_KEYS, ids=lambda kind: kind.value)
+def test_a_small_level_key_memo_gives_the_same_search(monkeypatch, kind):
+    start, objective, config = catalog("bt134"), Objective(kind), SearchConfig(8, 3, 1, 5)
+    first = beam_search(start, objective, config)
+    small = functools.lru_cache(maxsize=4)(search_mod._level_key.__wrapped__)
+    monkeypatch.setattr(search_mod, "_level_key", small)
+    second = beam_search(start, objective, config)
+    assert small.cache_info().currsize == 4 and small.cache_info().misses > 50
+    assert (second.best_word, second.trace, second.visited, second.objective_value) == (
+        first.best_word,
+        first.trace,
+        first.visited,
+        first.objective_value,
+    )
+
+
+def test_a_fixed_search_makes_a_pinned_number_of_scans(monkeypatch):
+    # The seam check spares most children of ordered positions a scan; a
+    # looser check scans more keys and finds the same ones, so only this
+    # count shows it.
+    scans = []
+    original = search_mod._normal
+
+    def counting(codes):
+        scans.append(codes)
+        return original(codes)
+
+    monkeypatch.setattr(search_mod, "_normal", counting)
+    start = pad_with_fingers(catalog("trefoil_plat"), 2)
+    result = beam_search(start, config=SearchConfig(beam_width=8, max_steps=6, random_seed=9))
+    assert (len(scans), result.visited) == (244, 2726)
 
 
 def test_canonical_key_equals_the_bubble_oracle():
