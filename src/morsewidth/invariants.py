@@ -79,13 +79,11 @@ class LevelProfile:
 
     @cached_property
     def thick_widths(self) -> tuple[int, ...]:
-        lv = self.levels
-        return tuple(w for below, w, above in zip(lv, lv[1:], lv[2:]) if below < w > above)
+        return tuple(w for w, c in zip(self.widths, self._classes) if c == THICK)
 
     @property
     def thin_widths(self) -> tuple[int, ...]:
-        lv = self.levels
-        return tuple(w for below, w, above in zip(lv, lv[1:], lv[2:]) if below > w < above)
+        return tuple(w for w, c in zip(self.widths, self._classes) if c == THIN)
 
     @property
     def width(self) -> int:

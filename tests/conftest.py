@@ -1,4 +1,5 @@
-"""Shared generators for fuzzed words.
+"""Shared generators for fuzzed words, and the helpers and searches that
+several test files share.
 
 Plain random.Random generators (fast, seeded per test) rather than
 hypothesis strategies for the bulk-count properties; hypothesis is used
@@ -15,6 +16,7 @@ import pytest
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
 from morsewidth.events import MorseEvent, MorseWord, cap, cross, cup
+from morsewidth.search import SearchConfig, beam_search, exhaustive_min
 
 
 def random_closed_events(
@@ -129,3 +131,32 @@ def patch_rule():
     yield patch
     moves_mod._RULES.update(saved)
     clear_move_caches()
+
+
+def spy(monkeypatch, name, *modules, record=lambda args, result: args):
+    """Wrap ``modules[0].<name>`` and patch the wrapper into every module
+    given, each of which must hold the name already.  Returns the list of
+    ``record(args, result)``, appended after each call returns."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def recording(*args):
+        result = original(*args)
+        calls.append(record(args, result))
+        return result
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+# A beam and an exhaustive search, from the once-padded trefoil in the tests
+# that run them.
+SEARCHES = [
+    lambda start: beam_search(start, config=SearchConfig(max_steps=4, random_seed=3)),
+    lambda start: exhaustive_min(start, radius=3, insertion_budget=1),
+]
+
+# The two beam searches of the golden traces, on the twice-padded trefoil.
+BEAM_4_STEPS_8 = SearchConfig(beam_width=4, max_steps=8, insertion_budget=1, random_seed=9)
+BEAM_8_STEPS_6 = SearchConfig(beam_width=8, max_steps=6, random_seed=9)

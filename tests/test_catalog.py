@@ -170,6 +170,7 @@ class TestPadWithFingers:
         assert rep0.width < rep1.width < rep2.width
         assert rep1.trunk == rep0.trunk + 2
         assert rep2.trunk == rep0.trunk + 4
+        assert pad_with_fingers(base) == pad_with_fingers(base, 1)
 
     def test_knot_preserved(self):
         base = catalog("trefoil_plat")

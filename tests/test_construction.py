@@ -3,21 +3,14 @@
 import pytest
 
 import morsewidth.events as events_mod
+from conftest import spy
 from morsewidth.errors import ValidationError
 from morsewidth.events import MorseWord, TangleWord, cap, cross, cup, validate
 
 
 @pytest.fixture
 def simulations(monkeypatch):
-    calls = []
-    original = events_mod._simulate
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(events_mod, "_simulate", counting)
-    return calls
+    return spy(monkeypatch, "_simulate", events_mod)
 
 
 def test_morse_word_simulates_once(simulations):

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import random_closed_word
+from conftest import BEAM_4_STEPS_8, BEAM_8_STEPS_6, random_closed_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.moves import apply_move, enumerate_moves, inverse_move
 from morsewidth.search import (
@@ -37,10 +37,6 @@ def pinned(result):
         result.visited,
         result.objective_value,
     )
-
-
-BEAM_4_STEPS_8 = SearchConfig(beam_width=4, max_steps=8, insertion_budget=1, random_seed=9)
-BEAM_8_STEPS_6 = SearchConfig(beam_width=8, max_steps=6, random_seed=9)
 
 
 @pytest.mark.parametrize(

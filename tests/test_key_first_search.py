@@ -14,27 +14,21 @@ import pytest
 import morsewidth.events as events_mod
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
-from conftest import clear_move_caches, random_closed_word
+from conftest import SEARCHES, clear_move_caches, random_closed_word, spy
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseEvent, MorseWord, cap, cross, cup
 from morsewidth.moves import MoveKind, apply_move, canonical_key, enumerate_moves
-from morsewidth.search import SearchConfig, beam_search, exhaustive_min
+from morsewidth.search import SearchConfig, beam_search
 
 
 @pytest.fixture
 def simulations(monkeypatch):
     """Every events passed to ``_simulate``, from words and local checks
     alike, with the shared move caches emptied first."""
-    calls = []
-    original = events_mod._simulate
-
-    def counting(events, start_count):
-        calls.append(tuple(events))
-        return original(events, start_count)
-
-    for module in (events_mod, moves_mod):
-        monkeypatch.setattr(module, "_simulate", counting)
+    calls = spy(
+        monkeypatch, "_simulate", events_mod, moves_mod, record=lambda args, _: tuple(args[0])
+    )
     clear_move_caches()
     return calls
 
@@ -42,21 +36,7 @@ def simulations(monkeypatch):
 @pytest.fixture
 def patched(monkeypatch):
     """Every position a search splices from its parent: (key, events, trail, ordered, levels)."""
-    positions = []
-    original = search_mod._child
-
-    def counting(*args):
-        positions.append(original(*args))
-        return positions[-1]
-
-    monkeypatch.setattr(search_mod, "_child", counting)
-    return positions
-
-
-SEARCHES = [
-    lambda start: beam_search(start, config=SearchConfig(max_steps=4, random_seed=3)),
-    lambda start: exhaustive_min(start, radius=3, insertion_budget=1),
-]
+    return spy(monkeypatch, "_child", search_mod, record=lambda _, position: position)
 
 
 @pytest.mark.parametrize("search", SEARCHES, ids=["beam", "exhaustive"])

@@ -4,6 +4,7 @@ import pytest
 
 import morsewidth.invariants as invariants_mod
 import morsewidth.search as search_mod
+from conftest import spy
 from morsewidth.catalog import catalog
 from morsewidth.events import EventKind
 from morsewidth.search import Objective, ObjectiveKind
@@ -11,16 +12,7 @@ from morsewidth.search import Objective, ObjectiveKind
 
 @pytest.fixture
 def profiles(monkeypatch):
-    calls = []
-    original = invariants_mod.level_profile
-
-    def counting(word):
-        calls.append(word)
-        return original(word)
-
-    for module in (invariants_mod, search_mod):
-        monkeypatch.setattr(module, "level_profile", counting, raising=False)
-    return calls
+    return spy(monkeypatch, "level_profile", invariants_mod, search_mod)
 
 
 def _otp(word):

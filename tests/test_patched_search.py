@@ -23,7 +23,7 @@ import pytest
 
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
-from conftest import random_closed_word, random_knot_word
+from conftest import BEAM_4_STEPS_8, BEAM_8_STEPS_6, random_closed_word, random_knot_word, spy
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseWord, _validated_trace, cap, cross, cup
@@ -46,26 +46,18 @@ from oracles import oracle_components, oracle_matching
 def children(monkeypatch):
     """(objective, parent, move, flat, candidate) of every new position, where
     flat says that its rewrite keeps the levels."""
-    made = []
-    original = search_mod._child
 
-    def recording(*args):
+    def made(args, candidate):
         objective, parent, kind, site, params, _, rewrite, _, _ = args
-        candidate = original(*args)
-        made.append((objective, parent, Move(kind, site, params), rewrite[1], candidate))
-        return candidate
+        return (objective, parent, Move(kind, site, params), rewrite[1], candidate)
 
-    monkeypatch.setattr(search_mod, "_child", recording)
-    return made
+    return spy(monkeypatch, "_child", search_mod, record=made)
 
 
 def golden_searches(objective):
     """The searches of tests/test_golden_traces.py."""
     twice_padded = pad_with_fingers(catalog("trefoil_plat"), 2)
-    for config in (
-        SearchConfig(beam_width=4, max_steps=8, insertion_budget=1, random_seed=9),
-        SearchConfig(beam_width=8, max_steps=6, random_seed=9),
-    ):
+    for config in (BEAM_4_STEPS_8, BEAM_8_STEPS_6):
         yield beam_search(twice_padded, objective, config)
     yield beam_search(catalog("bt134"), objective, SearchConfig(4, 2, 0))
     for radius, insertion_budget in ((2, 0), (2, 1), (3, 0), (3, 1)):
@@ -132,18 +124,15 @@ def orders(monkeypatch):
     that its parent was ordered, its rewrite is in normal form and so is each
     pair at its seams (as ``canonical_key`` decides on the decoded events),
     so that the search took its events as its key with no scan."""
-    made = []
-    original = search_mod._child
 
-    def recording(objective, parent, kind, site, params, events, rewrite, ordered, starts):
+    def made(args, _):
+        _, parent, kind, site, _, events, rewrite, ordered, _ = args
         width = moves_mod._RULES[kind].width
         pairs = [rewrite[0], *seams(parent[1], site, width, rewrite[0])]
         skipped = parent[3] and all(map(in_normal_form, pairs))
-        made.append((skipped, events, ordered))
-        return original(objective, parent, kind, site, params, events, rewrite, ordered, starts)
+        return (skipped, events, ordered)
 
-    monkeypatch.setattr(search_mod, "_child", recording)
-    return made
+    return spy(monkeypatch, "_child", search_mod, record=made)
 
 
 def misordered(made):

@@ -77,6 +77,7 @@ class TestBeam:
         with pytest.raises(ValueError, match="beam width"):
             SearchConfig(beam_width=-1)
         assert SearchConfig(beam_width=0).beam_width == 0
+        assert SearchConfig() == SearchConfig(32, 64, 2, 0)
 
     @pytest.mark.parametrize("field", ["max_steps", "insertion_budget"])
     def test_negative_steps_or_budget_is_refused(self, field):

@@ -26,7 +26,14 @@ import pytest
 import morsewidth.invariants as invariants_mod
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
-from conftest import clear_move_caches, random_closed_events, random_events
+from conftest import (
+    BEAM_8_STEPS_6,
+    SEARCHES,
+    clear_move_caches,
+    random_closed_events,
+    random_events,
+    spy,
+)
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.events import MorseWord, cap, cross, cup
 from morsewidth.moves import Move, MoveKind, canonical_key, enumerate_moves
@@ -43,21 +50,7 @@ def cold_memos():
 @pytest.fixture
 def local_checks(monkeypatch):
     """The events of every local check (``moves._simulate``)."""
-    calls = []
-    original = moves_mod._simulate
-
-    def counting(events, start_count):
-        calls.append(tuple(events))
-        return original(events, start_count)
-
-    monkeypatch.setattr(moves_mod, "_simulate", counting)
-    return calls
-
-
-SEARCHES = [
-    lambda start: beam_search(start, config=SearchConfig(max_steps=4, random_seed=3)),
-    lambda start: exhaustive_min(start, radius=3, insertion_budget=1),
-]
+    return spy(monkeypatch, "_simulate", moves_mod, record=lambda args, _: tuple(args[0]))
 
 
 @pytest.mark.parametrize("search", SEARCHES, ids=["beam", "exhaustive"])
@@ -171,16 +164,9 @@ def test_rules_hash_and_compare_by_identity():
 @pytest.fixture
 def profiles(monkeypatch):
     """Every word whose level profile is built, wherever the call is made."""
-    calls = []
-    original = invariants_mod.level_profile
-
-    def counting(word):
-        calls.append(word)
-        return original(word)
-
-    for module in (invariants_mod, search_mod):
-        monkeypatch.setattr(module, "level_profile", counting)
-    return calls
+    return spy(
+        monkeypatch, "level_profile", invariants_mod, search_mod, record=lambda args, _: args[0]
+    )
 
 
 @pytest.mark.parametrize("name", ["padded_trefoil", "bt134"])
@@ -195,15 +181,7 @@ def test_width_search_builds_two_profiles(profiles, name):
 @pytest.fixture
 def keyed(monkeypatch):
     """The levels of every level profile a search's key memo builds."""
-    built = []
-    original = search_mod.LevelProfile
-
-    def counting(levels):
-        built.append(levels)
-        return original(levels)
-
-    monkeypatch.setattr(search_mod, "LevelProfile", counting)
-    return built
+    return spy(monkeypatch, "LevelProfile", search_mod, record=lambda args, _: args[0])
 
 
 @pytest.mark.parametrize("name", ["padded_trefoil", "bt134"])
@@ -246,16 +224,9 @@ def test_a_fixed_search_makes_a_pinned_number_of_scans(monkeypatch):
     # The seam check spares most children of ordered positions a scan; a
     # looser check scans more keys and finds the same ones, so only this
     # count shows it.
-    scans = []
-    original = search_mod._normal
-
-    def counting(codes):
-        scans.append(codes)
-        return original(codes)
-
-    monkeypatch.setattr(search_mod, "_normal", counting)
+    scans = spy(monkeypatch, "_normal", search_mod)
     start = pad_with_fingers(catalog("trefoil_plat"), 2)
-    result = beam_search(start, config=SearchConfig(beam_width=8, max_steps=6, random_seed=9))
+    result = beam_search(start, config=BEAM_8_STEPS_6)
     assert (len(scans), result.visited) == (244, 2726)
 
 

@@ -11,30 +11,18 @@ import morsewidth.bracket as bracket_mod
 import morsewidth.cli as cli_mod
 import morsewidth.invariants as invariants_mod
 import morsewidth.search as search_mod
+from conftest import spy
 from morsewidth.catalog import catalog
-
-
-def _counting(monkeypatch, modules, name):
-    calls = []
-    original = getattr(modules[0], name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, counting, raising=False)
-    return calls
 
 
 @pytest.fixture
 def profiles(monkeypatch):
-    return _counting(monkeypatch, [invariants_mod, cli_mod], "level_profile")
+    return spy(monkeypatch, "level_profile", invariants_mod)
 
 
 @pytest.fixture
 def brackets(monkeypatch):
-    return _counting(monkeypatch, [bracket_mod, cli_mod], "kauffman_bracket")
+    return spy(monkeypatch, "kauffman_bracket", bracket_mod, cli_mod)
 
 
 @pytest.mark.parametrize("name", ["unknot", "trefoil_plat", "cex4_gamma", "bt134"])
@@ -55,7 +43,7 @@ STAND_INS = ["cex4_gamma", "cex4_gamma_prime", "bt134", "bt_mcp", "stack_101010"
 
 
 def test_classify_positions_builds_one_profile_per_word(monkeypatch):
-    calls = _counting(monkeypatch, [invariants_mod, search_mod], "level_profile")
+    calls = spy(monkeypatch, "level_profile", invariants_mod, search_mod)
     words = [catalog(name) for name in STAND_INS]
     classes = search_mod.classify_positions(words)
     assert len(calls) == len(words)
@@ -64,9 +52,7 @@ def test_classify_positions_builds_one_profile_per_word(monkeypatch):
 
 
 def test_optimize_builds_one_report_per_word(monkeypatch, capsys):
-    calls = _counting(
-        monkeypatch, [invariants_mod, search_mod, cli_mod], "embedding_report"
-    )
+    calls = spy(monkeypatch, "embedding_report", invariants_mod, search_mod, cli_mod)
     argv = ["optimize", "catalog:padded_trefoil", "--steps", "3"]
     assert cli_mod.main(argv) == 0
     assert len(calls) == 2  # the input word and the best word
@@ -83,22 +69,15 @@ def test_bracket_command_computes_one_bracket(brackets, capsys):
 
 
 def test_embedding_report_classifies_gaps_once(monkeypatch):
-    calls = []
-    classes = invariants_mod.LevelProfile._classes  # the cached_property
-    original = classes.func
-
-    def counting(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(classes, "func", counting)
+    # The cached_property calls its func, patched here, on a miss.
+    calls = spy(monkeypatch, "func", invariants_mod.LevelProfile._classes)
     report = invariants_mod.embedding_report(catalog("bt134"))
     assert report.as_dict() and report.gaps  # fields are computed when read
     assert len(calls) == 1
 
 
 def test_optimize_refuses_a_link_before_searching(monkeypatch, capsys):
-    calls = _counting(monkeypatch, [cli_mod], "beam_search")
+    calls = spy(monkeypatch, "beam_search", cli_mod)
     assert cli_mod.main(["optimize", "b1 b1 b3 x2+ x2+ d3 d1 d1", "--steps", "6"]) == 1
     assert calls == []
     assert "MultipleComponents" in capsys.readouterr().err

@@ -127,6 +127,8 @@ class TestRender:
         assert out.count("<rect") == 1
         assert "#4477aa" in out  # thick fill
         assert "<title>thick 4</title>" in out
+        # One thick row of 4: 2 * pad 8 + 4 * unit 12 wide, 2 * pad + bar 18 high.
+        assert 'width="64" height="34"' in out
 
     def test_svg_thin_color(self):
         word = MorseWord([cup(1), cup(1), cap(1), cup(1), cap(1), cap(1)])
