@@ -23,17 +23,22 @@ window's replacement).  A cancel's ``params`` and ``rewrite`` are derived
 from its insertion (``_cancel``).  Enumeration, application, inverses,
 LENGTH_DELTA and WRITHE_CHANGING all derive from the table.
 
-The search loop and both its caches run on int event codes (``_code``):
+The search loop and both caches here run on int event codes (``_code``):
 ``_site``, keyed by the codes from a site and the strand count below it,
 lists the site's moves (``_sites`` yields one entry per site and rule), and
 ``_rewrite`` licenses a rewrite by its local check and says what it does
 to the levels and whether it is in normal form (``_normal``).  On a miss
 each decodes its window for the rules, which see only events;
 ``enumerate_moves``, ``apply_move``, ``inverse_move`` and ``canonical_key``
-encode at entry.  A rule's ``params`` and ``rewrite`` are called only in
-the two caches and in ``_images``, of the rewrites an insertion makes;
-each is an ``lru_cache`` of at most ``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not
-seen by a cached entry: empty the caches.
+encode at entry.  ``enumerate_moves`` reads ``_site``; ``apply_move`` and
+``inverse_move`` read ``_site``, then ``_rewrite`` for each move they
+try.  A search reads both only through its own memo,
+``search._expansions``, which holds a site's ``_site`` entry with the
+``_rewrite`` entry of each of its moves.  A rule's ``params`` and
+``rewrite`` are called only in the two caches and in ``_images``, of the
+rewrites an insertion makes; each is an ``lru_cache`` of at most
+``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not seen by a
+cached entry: empty the caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -228,8 +233,12 @@ _REACH = max(rule.width for rule in _RULES.values())
 # 0.4 KB and a kink's image entry 0.6 KB (a finger's, one per strand count,
 # 8 KB at 10), so each stays under some 20 MiB; 1,824 random-knot searches
 # fill 1,023 site and rewrite entries.  An event's code, or a code's event,
-# takes about 0.2 KB.  search._level_key has the same cap: an entry takes
-# about 0.4 KB at 8 levels and 0.5 KB at 24, its levels included.
+# takes about 0.2 KB.  search._level_key and search._expansions have the
+# same cap.  A level-key entry takes about 0.4 KB at 8 levels and 0.5 KB at
+# 24, its levels included.  An expansion entry takes about 0.7 KB at 4
+# strands and 0.9 KB at 8, its key included, besides the params lists and
+# rewrite entries it shares with _site and _rewrite (and keeps alive after
+# they drop them).
 _MEMO_CAP = 1 << 14
 
 

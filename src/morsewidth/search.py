@@ -2,22 +2,30 @@
 
 A node is a position (key, events, trail, ordered, levels), its events the
 int codes of ``moves._encode``; edges are rewrite moves, and the strand
-counts that a move needs are summed from the codes.  A child's width or
-critical-count key is its parent's plus the rewrite's change.  A search
-for any other key carries each position's levels: a child splices its
-parent's with the rewrite's, and takes its key from one bounded memo,
-``_level_key``, which builds a level profile only for levels it has not
-keyed.  Only the word a search returns is decoded and built as a validated
-``MorseWord``, and only its trace as ``Move`` objects.  Positions are
-deduplicated by the normal form of their codes (``moves._normal``, which
-``canonical_key`` runs too).
+counts that a move needs are summed from the codes.  The loop walks each
+parent's sites itself and reads a site's moves in one lookup of one
+bounded memo, ``_expansions``, keyed like ``moves._site`` by the codes
+from the site up to ``moves._REACH`` and the strand count below it.  An
+entry lists, per rule with moves there, its width, its length delta, its
+params list (``_site``'s own) and the ``moves._rewrite`` entry of each
+params; a miss reads ``_site`` once and ``_rewrite`` once per params.
+A child's width or critical-count key is its parent's plus the rewrite's
+change.  A search for any other key carries each position's levels: a
+child splices its parent's with the rewrite's, and takes its key from
+another bounded memo, ``_level_key``, which builds a level profile only
+for levels it has not keyed.  Only the word a search returns is decoded
+and built as a validated ``MorseWord``, and only its trace as ``Move``
+objects.  Positions are deduplicated by the normal form of their codes
+(``moves._normal``, which ``canonical_key`` runs too).
 Order is a property of adjacent pairs, so an ordered position is its own
 key, and so is its child by a rewrite that is in order inside and with
 the codes at its two seams: that needs no scan.
 The searches never return a word worse than their input under the chosen
 objective, and beam search is deterministic for a fixed seed: candidates
-are generated in a fixed order and sorted by (objective key, one seeded
-random draw per candidate), so the seed only breaks ties.
+are generated in a fixed order, each draws one seeded random number in
+that order, and the beam keeps the ``beam_width`` least (objective key,
+draw) pairs, selected by ``heapq.nsmallest`` (which equals sorting them
+all and keeping the first), so the seed only breaks ties.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from heapq import nsmallest
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -40,7 +49,18 @@ from .invariants import (
     level_profile,
     levels,
 )
-from .moves import _MEMO_CAP, Move, MoveKind, _decode, _encode, _normal, _rewrite, _sites
+from .moves import (
+    _MEMO_CAP,
+    _REACH,
+    Move,
+    MoveKind,
+    _counts,
+    _decode,
+    _encode,
+    _normal,
+    _rewrite,
+    _site,
+)
 
 
 class ObjectiveKind(Enum):
@@ -76,6 +96,25 @@ def _level_key(kind: ObjectiveKind, levels: tuple[int, ...]) -> tuple:
     """The ``kind`` key of a position with these levels: a search builds a
     level profile only the first time it meets them."""
     return _PROFILE_KEYS[kind](LevelProfile(levels))
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _expansions(window: tuple[int, ...], n: int) -> tuple[tuple, ...]:
+    """(kind, width, length delta, params list, rewrites) of each rule with a
+    move on ``window`` (the codes from a site, up to _REACH of them) with
+    ``n`` strands below it, in the order of ``moves._site``, which lists the
+    params; rewrites holds the moves._rewrite entry of each params in turn.
+    A search reads a site's moves and their rewrites in this one lookup."""
+    return tuple(
+        (
+            kind,
+            rule.width,
+            rule.length_delta,
+            found,
+            tuple(_rewrite(rule, window[: rule.width], params, n) for params in found),
+        )
+        for kind, rule, found in _site(window, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -188,8 +227,11 @@ def _frontier_search(
 ) -> SearchResult:
     """The loop behind both searches.  Each step applies every move within
     the length budget to every frontier position and builds only positions
-    not yet seen (by canonical key).  The new ones, sorted by ``rank`` if
-    given, offer the best and form the next frontier: the first ``keep``, or all."""
+    not yet seen (by canonical key).  Without ``rank`` all the new ones form
+    the next frontier, and the first with the least key offers the best.
+    With it, the ``keep`` least by ``rank`` form it (by ``heapq.nsmallest``,
+    which equals ``sorted(...)[:keep]``), and the least of all offers the
+    best: it is selected even when ``keep`` is 0."""
     max_len = len(start.events) + insertion_budget
     start_events = _encode(start.events)
     start_key = _normal(start_events)
@@ -205,53 +247,68 @@ def _frontier_search(
         for parent in frontier:
             ev, ordered = parent[1], parent[3]
             size = len(ev)
+            budget = max_len - size
             # Where each site's levels start: the cups and caps below it.
             starts = [*accumulate([not c & 2 for c in ev], initial=0)] if carry else None
-            for k, n, kind, rule, found in _sites(ev, max_len - size):
-                end = k + rule.width
-                head, window, tail = ev[:k], ev[k:end], ev[end:]
-                # The codes at the seams; 0, a cup, stands in past either end.
-                below, above = ev[k - 1] if k else 0, ev[end] if end < size else 0
-                for params in found:
-                    # Key first, build only new positions.  Equal keys differ
-                    # only by distant crossing swaps, which keep index
-                    # validity, counts and component count: the word first
-                    # seen with a key has them.
-                    rewrite = _rewrite(rule, window, params, n)
-                    new = rewrite[0]
-                    events = head + new + tail
-                    # Order is a property of adjacent pairs (moves._normal),
-                    # so the child of an ordered word is ordered, and its own
-                    # key with no scan, when the rewrite is in order and so
-                    # are its seams (below, first) and (last, above); round
-                    # an empty rewrite both are (below, above).
-                    key = events
-                    first, last = (rewrite[5], rewrite[6]) if new else (above, below)
-                    if not (ordered and rewrite[4]) or (
-                        below & first & 2 and first >> 2 < (below >> 2) - 1
-                        or last & above & 2 and above >> 2 < (last >> 2) - 1
-                    ):
-                        key = _normal(events)
-                    seen = len(visited)
-                    visited.add(key)  # one hash per key
-                    if len(visited) == seen:
+            for k, n in enumerate(_counts(ev)):
+                for kind, width, delta, found, rewrites in _expansions(ev[k : k + _REACH], n):
+                    if delta > budget:
                         continue
-                    child = _child(
-                        objective, parent, kind, k, params, events, rewrite, key is events, starts
-                    )
-                    candidates.append(child)
-                    if len(visited) > node_cap:
-                        best = min([best, *candidates], key=itemgetter(0))
-                        raise BudgetExceeded(
-                            f"{name} search node cap exceeded",
-                            best=_result(best, len(visited), start),
+                    end = k + width
+                    head, tail = ev[:k], ev[end:]
+                    # The codes at the seams; 0, a cup, stands in past either end.
+                    below, above = ev[k - 1] if k else 0, ev[end] if end < size else 0
+                    for params, rewrite in zip(found, rewrites):
+                        # Key first, build only new positions.  Equal keys
+                        # differ only by distant crossing swaps, which keep
+                        # index validity, counts and component count: the
+                        # word first seen with a key has them.
+                        new = rewrite[0]
+                        events = head + new + tail
+                        # Order is a property of adjacent pairs
+                        # (moves._normal), so the child of an ordered word is
+                        # ordered, and its own key with no scan, when the
+                        # rewrite is in order and so are its seams (below,
+                        # first) and (last, above); round an empty rewrite
+                        # both are (below, above).
+                        key = events
+                        first, last = (rewrite[5], rewrite[6]) if new else (above, below)
+                        if not (ordered and rewrite[4]) or (
+                            below & first & 2 and first >> 2 < (below >> 2) - 1
+                            or last & above & 2 and above >> 2 < (last >> 2) - 1
+                        ):
+                            key = _normal(events)
+                        seen = len(visited)
+                        visited.add(key)  # one hash per key
+                        if len(visited) == seen:
+                            continue
+                        child = _child(
+                            objective,
+                            parent,
+                            kind,
+                            k,
+                            params,
+                            events,
+                            rewrite,
+                            key is events,
+                            starts,
                         )
+                        candidates.append(child)
+                        if seen >= node_cap:
+                            best = min([best, *candidates], key=itemgetter(0))
+                            raise BudgetExceeded(
+                                f"{name} search node cap exceeded",
+                                best=_result(best, len(visited), start),
+                            )
         if not candidates:
             break
-        if rank is not None:
-            candidates.sort(key=rank)
-        best = min([best, *candidates], key=itemgetter(0))
-        frontier = candidates[:keep]
+        if rank is None:
+            best = min([best, *candidates], key=itemgetter(0))
+            frontier = candidates
+        else:
+            frontier = nsmallest(max(keep, 1), candidates, key=rank)
+            best = min(best, frontier[0], key=itemgetter(0))
+            del frontier[keep:]
     return _result(best, len(visited), start)
 
 

@@ -109,10 +109,12 @@ def rng() -> random.Random:
 
 def clear_move_caches() -> None:
     """Empty every cache that every search shares: the site moves, rewrites
-    and insertion images, and the keys of levels."""
+    and insertion images, the search's expansions of a site, and the keys
+    of levels."""
     moves_mod._site.cache_clear()
     moves_mod._rewrite.cache_clear()
     moves_mod._images.cache_clear()
+    search_mod._expansions.cache_clear()
     search_mod._level_key.cache_clear()
 
 

@@ -16,7 +16,6 @@ from morsewidth.bracket import (
     LaurentPoly,
     jones_normalized,
     kauffman_bracket,
-    writhe,
 )
 from morsewidth.catalog import catalog
 from morsewidth.cli import main as cli_main

@@ -16,7 +16,7 @@ from morsewidth.catalog import (
     torus_plat,
 )
 from morsewidth.errors import UnknownName, ValidationError
-from morsewidth.events import MorseWord, TangleWord, component_count
+from morsewidth.events import TangleWord, component_count
 from morsewidth.invariants import (
     embedding_report,
     level_profile,

@@ -1,6 +1,5 @@
 """Gap profiles and the numerical invariants built on them."""
 
-import random
 from fractions import Fraction
 
 import pytest

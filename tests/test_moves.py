@@ -1,7 +1,5 @@
 """Rewrite moves: validity, soundness, inverses, canonical keys."""
 
-import random
-
 import pytest
 
 from conftest import random_closed_word, random_knot_word

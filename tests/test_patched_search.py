@@ -1,6 +1,7 @@
 """A search splices each new position's events from its parent's instead
 of simulating them, and two caches feed it: the moves valid at a site and
-the checked rewrite of a window.
+the checked rewrite of a window, both read through the search's memo of
+each site's moves with their rewrites.
 
 Every spliced position must equal the validating constructor's word
 (component count, objective key and carried levels) and the table rule's
@@ -8,9 +9,10 @@ own rewrite, the boundary matching that licenses a splice must agree with
 the independent component walk of ``tests/oracles.py``, and a rewrite
 that breaks locality must be refused, by a search and by ``apply_move``
 alike.
-A rule replaced in the table is seen by the next search once both caches
-are emptied, as the ``patch_rule`` fixture does.  A search runs on int
-event codes, decoded here wherever events are compared.  A position in
+A rule replaced in the table is seen by the next search once the caches
+are emptied, as the ``patch_rule`` fixture does, and a fake in place of
+the rewrite cache once the memo is, as ``patch_rewrite`` does.  A search
+runs on int event codes, decoded here wherever events are compared.  A position in
 ``canonical_key`` normal form is flagged ordered, and its child by a
 rewrite that is in order, with its two seams in order, is keyed by its
 events with no scan: every flag must equal the scan's answer, and a seam
@@ -176,7 +178,22 @@ def test_ordered_flags_equal_the_scan(orders):
     assert 5000 < skipped < ordered < len(orders)
 
 
-def test_a_rewrite_claiming_order_for_crossings_is_caught(monkeypatch, orders):
+@pytest.fixture
+def patch_rewrite(monkeypatch):
+    """``patch_rewrite(fake)`` puts ``fake`` in place of the ``_rewrite`` a
+    search reads, for one test.  The search's memo of site expansions holds
+    the rewrite entries it was filled with, so it is emptied when the fake
+    goes in and again at the end: no fake entry outlives its test in it."""
+
+    def patch(fake):
+        monkeypatch.setattr(search_mod, "_rewrite", fake)
+        search_mod._expansions.cache_clear()
+
+    yield patch
+    search_mod._expansions.cache_clear()
+
+
+def test_a_rewrite_claiming_order_for_crossings_is_caught(patch_rewrite, orders):
     # R2Insert puts two crossings into the word, which may land out of order
     # next to a crossing already there: here its first and last codes are
     # claimed to be cups, which are in order next to anything.
@@ -187,14 +204,14 @@ def test_a_rewrite_claiming_order_for_crossings_is_caught(monkeypatch, orders):
         entry = original(rule, window, params, n0)
         return entry[:4] + (True, 0, 0) + entry[7:] if rule is r2_insert else entry
 
-    monkeypatch.setattr(search_mod, "_rewrite", claiming)
+    patch_rewrite(claiming)
     for _ in every_search(Objective()):
         pass
     assert len(misordered(orders)) > 100
 
 
 @pytest.mark.parametrize("seam", [5, 6], ids=["lower", "upper"])
-def test_a_seam_check_that_ignores_one_seam_is_caught(monkeypatch, orders, seam):
+def test_a_seam_check_that_ignores_one_seam_is_caught(patch_rewrite, orders, seam):
     # A cup code in place of the rewrite's first (last) code is in order with
     # any code below (above) it: the search no longer checks that seam.
     original = moves_mod._rewrite
@@ -203,7 +220,7 @@ def test_a_seam_check_that_ignores_one_seam_is_caught(monkeypatch, orders, seam)
         entry = original(rule, window, params, n0)
         return entry[:seam] + (0,) + entry[seam + 1 :] if entry[0] else entry
 
-    monkeypatch.setattr(search_mod, "_rewrite", ignoring)
+    patch_rewrite(ignoring)
     for _ in every_search(Objective()):
         pass
     assert len(misordered(orders)) > 100
@@ -357,7 +374,7 @@ def test_inverse_move_refuses_when_no_listed_move_undoes(patch_rule):
 
 
 @pytest.mark.parametrize("exhaustive", [False, True], ids=["beam", "exhaustive"])
-def test_result_refuses_another_component_count(monkeypatch, exhaustive):
+def test_result_refuses_another_component_count(patch_rewrite, exhaustive):
     # Every checked rewrite gains a small closed loop and claims to thin the
     # word: no local check sees it, so only the whole word returned can.
     original = moves_mod._rewrite
@@ -367,7 +384,7 @@ def test_result_refuses_another_component_count(monkeypatch, exhaustive):
         loop = _encode((cup(1), cap(1)))
         return (new + loop, False, -100, -100, False, None, None, inner, critical)
 
-    monkeypatch.setattr(search_mod, "_rewrite", looped)
+    patch_rewrite(looped)
     start = catalog("padded_trefoil")
     with pytest.raises(InvalidMove, match="another component count"):
         if exhaustive:

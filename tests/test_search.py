@@ -1,7 +1,5 @@
 """Beam and exhaustive search over the move graph."""
 
-import random
-
 import pytest
 
 import morsewidth.search as search_mod
@@ -9,7 +7,7 @@ from conftest import random_knot_word
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import BracketMismatch, BudgetExceeded
 from morsewidth.events import MorseWord, cap, cross, cup
-from morsewidth.invariants import critical_count, otp_vector, width
+from morsewidth.invariants import critical_count, width
 from morsewidth.search import (
     Objective,
     ObjectiveKind,

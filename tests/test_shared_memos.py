@@ -2,13 +2,15 @@
 
 The moves of a site and the checked rewrite of a window are facts of the
 rule table, so one cache of each serves every search: a second identical
-search makes no local check at all.  ``enumerate_moves`` reads the same
-site cache, and the insertion rules' moves at one strand count are one
-shared list.  Each cache is bounded, least recently used out, and a
-search reads the same moves from a small cache as from a large one.  The
-width and critical-count keys of a new position are its parent's key plus
-the window's change, so a width search builds no level profile for its
-candidates.  The other keys come from one bounded memo of keys by levels,
+search makes no local check at all.  A search reads them through a third
+cache, its memo of each site's moves with their rewrites, which reads the
+two only on a miss.  ``enumerate_moves`` reads the same site cache, and
+the insertion rules' moves at one strand count are one shared list, with
+one shared rewrite entry per move.  Each cache is bounded, least recently
+used out, and a search reads the same moves from small caches as from
+large ones.  The width and critical-count keys of a new position are its
+parent's key plus the window's change, so a width search builds no level
+profile for its candidates.  The other keys come from one bounded memo of keys by levels,
 so a second identical search of them builds no level profile either, and
 a memo of four entries gives the same searches.  The seam check spares
 most children of ordered positions a normal-form scan, and one fixed
@@ -19,6 +21,7 @@ bubble passes of ``tests/oracles.py`` on every input.
 
 import dataclasses
 import functools
+import operator
 import random
 
 import pytest
@@ -66,17 +69,24 @@ def test_a_second_identical_search_makes_no_local_check(cold_memos, local_checks
     assert second.visited == first.visited > 500
 
 
+# The caches a search reads, in the order it reads them: its memo of site
+# expansions, and on a miss there the site's moves and their rewrites.
+SEARCH_CACHES = ("_expansions", "_site", "_rewrite")
+
+
 def test_small_caches_give_the_same_search(monkeypatch):
     # Four entries each: nearly every lookup evicts one and misses.
     search = SEARCHES[1]
     start = pad_with_fingers(catalog("trefoil_plat"), 1)
     first = search(start)
-    for module, name in ((moves_mod, "_site"), (search_mod, "_rewrite")):
-        small = functools.lru_cache(maxsize=4)(getattr(moves_mod, name).__wrapped__)
-        monkeypatch.setattr(module, name, small)
+    for name in SEARCH_CACHES:
+        small = functools.lru_cache(maxsize=4)(getattr(search_mod, name).__wrapped__)
+        monkeypatch.setattr(search_mod, name, small)
     second = search(start)
     assert search_mod._rewrite.cache_info().currsize == 4
-    assert moves_mod._site.cache_info().misses > 100
+    assert search_mod._site.cache_info().misses > 100
+    assert search_mod._expansions.cache_info().currsize == 4
+    assert search_mod._expansions.cache_info().misses > 100
     assert (second.best_word, second.trace, second.visited) == (
         first.best_word,
         first.trace,
@@ -84,29 +94,33 @@ def test_small_caches_give_the_same_search(monkeypatch):
     )
 
 
-def sized_caches(monkeypatch, site_size, rewrite_size):
-    """New ``_site`` and ``_rewrite`` caches of these sizes where a search looks them up."""
-    for module, name, size in (
-        (moves_mod, "_site", site_size),
-        (search_mod, "_rewrite", rewrite_size),
-    ):
-        cache = functools.lru_cache(maxsize=size)(getattr(moves_mod, name).__wrapped__)
-        monkeypatch.setattr(module, name, cache)
-    return moves_mod._site, search_mod._rewrite
+def sized_caches(monkeypatch, *sizes):
+    """New ``SEARCH_CACHES`` of these sizes where a search looks them up."""
+    for name, size in zip(SEARCH_CACHES, sizes, strict=True):
+        cache = functools.lru_cache(maxsize=size)(getattr(search_mod, name).__wrapped__)
+        monkeypatch.setattr(search_mod, name, cache)
+    return [getattr(search_mod, name) for name in SEARCH_CACHES]
 
 
 @pytest.mark.parametrize("over", [False, True])
 def test_a_search_empties_memos_over_their_cap(local_checks, monkeypatch, over):
     # Caches that hold what one search fills serve a second search whole;
-    # one entry fewer each, the least recently used goes and must be checked again.
+    # one entry fewer each, the least recently used goes and must be built
+    # or checked again.
     search = SEARCHES[1]
     start = pad_with_fingers(catalog("trefoil_plat"), 1)
     first = search(start)
-    unbounded = sized_caches(monkeypatch, None, None)
+    unbounded = sized_caches(monkeypatch, None, None, None)
     search(start)
     held = [cache.cache_info().currsize for cache in unbounded]
-    caches = sized_caches(monkeypatch, held[0] - over, held[1] - over)
+    caches = sized_caches(monkeypatch, *(n - over for n in held))
     search(start)
+    built = caches[0].cache_info().misses
+    search(start)
+    assert (caches[0].cache_info().misses > built) == over
+    # With the memo of expansions emptied, the search reads every site's
+    # moves and rewrites again from the two caches below it.
+    caches[0].cache_clear()
     local_checks.clear()
     second = search(start)
     assert bool(local_checks) == over
@@ -134,9 +148,16 @@ def test_site_entries_at_one_strand_count_share_their_insertion_lists(cold_memos
     windows = ((cup(1), cap(2)), (cross(1, 1),), ())
     entries = [moves_mod._site(moves_mod._encode(window), n) for window in windows]
     found = [{kind: moves for kind, _, moves in entry} for entry in entries]
+    expanded = [search_mod._expansions(moves_mod._encode(window), n) for window in windows]
     for kind in (MoveKind.ZIGZAG_INSERT, MoveKind.R2_INSERT):
         first, *others = [moves[kind] for moves in found]
         assert first and all(moves is first for moves in others)
+        # A search's expansion of each site holds that list and, for each of
+        # its params, the one rewrite entry of the insertion at n strands.
+        (params, rewrites), *more = [item[3:] for e in expanded for item in e if item[0] is kind]
+        assert params is first and len(rewrites) == len(first) and all(
+            p is params and all(map(operator.is_, r, rewrites)) for p, r in more
+        )
     wider = {kind: moves for kind, _, moves in moves_mod._site((), n + 2)}
     assert wider[MoveKind.ZIGZAG_INSERT] is not found[0][MoveKind.ZIGZAG_INSERT]
 
