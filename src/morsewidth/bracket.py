@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .events import EventKind, MorseWord, require_closed, require_knot
+from .events import MorseWord, require_closed, require_knot
 
 MAX_STATE_SUM_CROSSINGS = 18
 
@@ -194,12 +194,12 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
     states: dict[int, int] = {0: 1 << (offset * bits)}
     odd = False  # whether the states' exponents are odd
     for e in word.events[:-1]:  # the last cap's loop counts 1
-        i = e.index - 1
+        i, t = (e >> 2) - 1, e & 3  # the event's bits (see events.MorseEvent)
         nxt: dict[int, int] = {}
-        if e.kind is EventKind.CUP:
+        if t == 0:  # a cup
             for x, poly in states.items():  # one-to-one: nothing is copied
                 nxt[_cup(x, i)] = poly
-        elif e.kind is EventKind.CAP:
+        elif t == 1:  # a cap
             while states:  # popping frees each old state once it is used
                 x, poly = states.popitem()
                 x, loop = _cap(x, i)
@@ -209,7 +209,7 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
         else:
             # Even: A * p is P, A^-1 * p a digit down.  Odd: A^-1 * p is P,
             # A * p a digit up.  A positive letter's A-smoothing is vertical.
-            vertical_moves = (e.sign > 0) == odd
+            vertical_moves = (e & 1) == odd  # bit 0 set: a positive letter
             while states:
                 x, poly = states.popitem()
                 moved = poly << bits if odd else poly >> bits
@@ -248,7 +248,7 @@ def writhe(word: MorseWord) -> int:
     for _ in range(len(ends) // 2):  # one upward piece per cup
         up[piece] = True
         piece = ends[piece ^ 1]
-    signs = (e.sign for e in word.events if e.kind is EventKind.CROSS)
+    signs = ((e & 1) * 2 - 1 for e in word.events if e & 2)  # a crossing's sign
     pairs = iter(trace.crossed)  # left end, right end per crossing
     return sum(s if up[a] == up[b] else -s for s, a, b in zip(signs, pairs, pairs))
 

@@ -10,6 +10,11 @@ horizontal level:
 * ``Cross(i, sign)`` exchanges the strands at positions i, i+1.  Sign +1
   is the braid generator whose lower-left strand passes over.
 
+An event is a ``MorseEvent``, an int whose value is its code
+``index << 2 | t``: t is 0 for a cup, 1 for a cap, 2 for a negative and 3
+for a positive crossing.  ``kind``, ``index`` and ``sign`` read the code
+back; the sweeps here and in ``bracket`` read its bits.
+
 Indices are 1-based.  A knot/link word starts and ends with zero strands;
 a tangle word starts at the (even) number of boundary strands and ends at
 zero, and may not close any component.  One sweep (``_simulate``) finds
@@ -43,36 +48,56 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-class _EventFields(NamedTuple):
-    kind: EventKind
-    index: int
-    sign: int  # +1 or -1 for crossings, 0 otherwise
+# The kind of each type t = e & 3 of an event e; a kind's type is its first place.
+_KINDS = (EventKind.CUP, EventKind.CAP, EventKind.CROSS, EventKind.CROSS)
 
 
-class MorseEvent(_EventFields):
-    """One event; a tuple, so hashing and comparing keys of events stay in C."""
+class MorseEvent(int):
+    """One event: an int whose value is its code, ``index << 2 | t``, with
+    t 0 for a cup, 1 for a cap, 2 for a negative and 3 for a positive
+    crossing.  So events hash, compare and sort as their codes, in C, and a
+    sweep reads ``e & 3``, ``e >> 2`` and ``e & 1`` for the kind, index and
+    sign.  Since ``>>`` rounds down, a negative index round-trips too."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, kind: EventKind, index: int, sign: int = 0):
+        if not isinstance(kind, EventKind):
+            raise ValueError(f"event kind must be an EventKind, got {kind!r}")
         if kind is EventKind.CROSS:
             if sign not in (+1, -1):
                 raise ValueError("crossing sign must be +1 or -1")
         elif sign != 0:
             raise ValueError("only crossings carry a sign")
-        return tuple.__new__(cls, (kind, index, sign))
+        return int.__new__(cls, index << 2 | _KINDS.index(kind) | (sign > 0))
+
+    def __getnewargs__(self) -> tuple:  # so copy and pickle rebuild the event
+        return self.kind, self.index, self.sign
+
+    @property
+    def kind(self) -> EventKind:
+        return _KINDS[self & 3]
+
+    @property
+    def index(self) -> int:
+        return self >> 2
+
+    @property
+    def sign(self) -> int:
+        """+1 or -1 for crossings, 0 otherwise."""
+        return (0, 0, -1, 1)[self & 3]
 
     def token(self) -> str:
         """DSL token for this event (``b3``, ``d1``, ``x2+``)."""
-        if self.kind is EventKind.CUP:
-            return f"b{self.index}"
-        if self.kind is EventKind.CAP:
-            return f"d{self.index}"
-        return f"x{self.index}{'+' if self.sign > 0 else '-'}"
+        i, t = self >> 2, self & 3
+        return f"x{i}{'-+'[t & 1]}" if t & 2 else f"{'bd'[t]}{i}"
 
     def __str__(self) -> str:
         return self.token()
+
+    def __repr__(self) -> str:  # the call that builds it: cup(1), cross(2, -1)
+        sign = f", {self.sign}" if self & 2 else ""
+        return f"{self.kind.value}({self.index}{sign})"
 
 
 def cup(index: int) -> MorseEvent:
@@ -87,7 +112,7 @@ def cross(index: int, sign: int) -> MorseEvent:
     return MorseEvent(EventKind.CROSS, index, sign)
 
 
-_KIND_NAMES = {EventKind.CUP: "cup", EventKind.CAP: "cap", EventKind.CROSS: "crossing"}
+_KIND_NAMES = ("cup", "cap", "crossing", "crossing")  # by type, e & 3
 
 
 class _Trace(NamedTuple):
@@ -121,23 +146,22 @@ def _simulate(events: Sequence[MorseEvent], start_count: int) -> _Trace:
     violations: list[Violation] = []
     closed: list[int] = []
     crossed: list[int] = []  # flat: a tuple per crossing made the sweep a tenth dearer
-    CUP, CAP = EventKind.CUP, EventKind.CAP
 
     for pos, e in enumerate(events):
-        kind, i, n = e.kind, e.index, len(slots)  # MorseEvent unpacking is not specialized
-        top = n + 1 if kind is CUP else n - 1  # the highest valid index
-        if kind is CAP and n < 2:
+        t, i, n = e & 3, e >> 2, len(slots)  # bits, not properties: no call per event
+        top = n + 1 if t == 0 else n - 1  # the highest valid index
+        if t == 1 and n < 2:
             violations.append(
                 Violation("NegativeCount", pos, f"cap with only {n} strands")
             )
         elif not 1 <= i <= top:
             where = f"index {i} outside 1..{top}" if top > 0 else f"with only {n} strands"
-            violations.append(Violation("BadIndex", pos, f"{_KIND_NAMES[kind]} {where}"))
-        elif kind is CUP:
+            violations.append(Violation("BadIndex", pos, f"{_KIND_NAMES[t]} {where}"))
+        elif t == 0:  # CUP
             a = len(other)
             other += (a + 1, a)
             slots[i - 1 : i - 1] = (a, a + 1)
-        elif kind is CAP:
+        elif t == 1:  # CAP
             a, b = slots[i - 1], slots[i]
             far_a, far_b = other[a], other[b]
             if far_a == b:  # other already pairs a and b

@@ -1,10 +1,10 @@
 """Search over the move graph for good positions of a fixed knot.
 
 A node is a position (key, events, trail, ordered, levels), its events the
-int codes of ``moves._encode``; edges are rewrite moves, and the strand
-counts that a move needs are summed from the codes.  The loop walks each
-parent's sites itself and reads a site's moves in one lookup of one
-bounded memo, ``_expansions``, keyed like ``moves._site`` by the codes
+word's own ``MorseEvent`` ints; edges are rewrite moves, and the strand
+counts that a move needs are summed from the events' bits.  The loop walks
+each parent's sites itself and reads a site's moves in one lookup of one
+bounded memo, ``_expansions``, keyed like ``moves._site`` by the events
 from the site up to ``moves._REACH`` and the strand count below it.  An
 entry lists, per rule with moves there, its width, its length delta, its
 params list (``_site``'s own) and the ``moves._rewrite`` entry of each
@@ -13,13 +13,13 @@ A child's width or critical-count key is its parent's plus the rewrite's
 change.  A search for any other key carries each position's levels: a
 child splices its parent's with the rewrite's, and takes its key from
 another bounded memo, ``_level_key``, which builds a level profile only
-for levels it has not keyed.  Only the word a search returns is decoded
-and built as a validated ``MorseWord``, and only its trace as ``Move``
-objects.  Positions are deduplicated by the normal form of their codes
+for levels it has not keyed.  Only the word a search returns is built as a
+validated ``MorseWord``, and only its trace as ``Move`` objects.
+Positions are deduplicated by the normal form of their events
 (``moves._normal``, which ``canonical_key`` runs too).
 Order is a property of adjacent pairs, so an ordered position is its own
 key, and so is its child by a rewrite that is in order inside and with
-the codes at its two seams: that needs no scan.
+the events at its two seams: that needs no scan.
 The searches never return a word worse than their input under the chosen
 objective, and beam search is deterministic for a fixed seed: candidates
 are generated in a fixed order, each draws one seeded random number in
@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 from .bracket import jones_normalized
 from .errors import BracketMismatch, BudgetExceeded, InvalidMove
-from .events import MorseWord, require_knot
+from .events import MorseEvent, MorseWord, require_knot
 from .invariants import (
     EmbeddingReport,
     LevelProfile,
@@ -55,8 +55,6 @@ from .moves import (
     Move,
     MoveKind,
     _counts,
-    _decode,
-    _encode,
     _normal,
     _rewrite,
     _site,
@@ -99,9 +97,9 @@ def _level_key(kind: ObjectiveKind, levels: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=_MEMO_CAP)
-def _expansions(window: tuple[int, ...], n: int) -> tuple[tuple, ...]:
+def _expansions(window: tuple[MorseEvent, ...], n: int) -> tuple[tuple, ...]:
     """(kind, width, length delta, params list, rewrites) of each rule with a
-    move on ``window`` (the codes from a site, up to _REACH of them) with
+    move on ``window`` (the events from a site, up to _REACH of them) with
     ``n`` strands below it, in the order of ``moves._site``, which lists the
     params; rewrites holds the moves._rewrite entry of each params in turn.
     A search reads a site's moves and their rewrites in this one lookup."""
@@ -178,7 +176,7 @@ def _result(best: _Candidate, visited: int, start: MorseWord) -> SearchResult:
     while trail is not None:
         trail, kind, site, params = trail
         moves.append(Move(kind, site, params))
-    word = MorseWord(_decode(events))
+    word = MorseWord(events)
     if word.component_count != start.component_count:
         raise InvalidMove(f"{word} has another component count than {start}")
     report = embedding_report(word) if word.is_knot else None
@@ -233,13 +231,12 @@ def _frontier_search(
     which equals ``sorted(...)[:keep]``), and the least of all offers the
     best: it is selected even when ``keep`` is 0."""
     max_len = len(start.events) + insertion_budget
-    start_events = _encode(start.events)
-    start_key = _normal(start_events)
+    start_key = _normal(start.events)
     visited = {start_key}
     carry = objective.kind not in _DELTA_FIELDS
     start_levels = levels(start.counts) if carry else None
-    ordered = start_key is start_events
-    best: _Candidate = (objective.key(start), start_events, None, ordered, start_levels)
+    ordered = start_key is start.events
+    best: _Candidate = (objective.key(start), start.events, None, ordered, start_levels)
     frontier = [best]
 
     for _ in range(steps):
@@ -256,7 +253,7 @@ def _frontier_search(
                         continue
                     end = k + width
                     head, tail = ev[:k], ev[end:]
-                    # The codes at the seams; 0, a cup, stands in past either end.
+                    # The events at the seams; 0, a cup, stands in past either end.
                     below, above = ev[k - 1] if k else 0, ev[end] if end < size else 0
                     for params, rewrite in zip(found, rewrites):
                         # Key first, build only new positions.  Equal keys

@@ -135,6 +135,16 @@ def patch_rule():
     clear_move_caches()
 
 
+def site_entries(word: MorseWord):
+    """(site, strands below it, kind, rule, params list) of each rule with
+    moves on ``word``, one entry per site and rule: the walk of
+    ``enumerate_moves`` over ``moves._site``, which a search makes too."""
+    ev = word.events
+    for k, n in enumerate(moves_mod._counts(ev)):
+        for kind, rule, found in moves_mod._site(ev[k : k + moves_mod._REACH], n):
+            yield k, n, kind, rule, found
+
+
 def spy(monkeypatch, name, *modules, record=lambda args, result: args):
     """Wrap ``modules[0].<name>`` and patch the wrapper into every module
     given, each of which must hold the name already.  Returns the list of

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import morsewidth.moves as moves_mod
-from conftest import random_closed_word
+from conftest import random_closed_word, site_entries
 from morsewidth.events import EventKind
 from morsewidth.moves import LENGTH_DELTA, MoveKind, _zigzag_insert_params, enumerate_moves
 from morsewidth.search import ObjectiveKind
@@ -25,11 +25,10 @@ def test_running_counts_equal_the_simulated_counts():
     pairs = 0
     for _ in range(400):
         word = random_closed_word(rng)
-        codes = moves_mod._encode(word.events)
-        assert moves_mod._counts(codes) == word.counts, str(word)
-        entries = list(moves_mod._sites(codes, None))
-        assert all(n == word.counts[k] for k, n, *_ in entries), str(word)
-        pairs += sum(len(found) for *_, found in entries)  # moves, not entries
+        assert moves_mod._counts(word.events) == word.counts, str(word)
+        moves = sum(len(found) for *_, found in site_entries(word))  # moves, not entries
+        assert moves == len(enumerate_moves(word)), str(word)
+        pairs += moves
     assert pairs > 10_000
 
 

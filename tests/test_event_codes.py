@@ -1,35 +1,30 @@
-"""The int event codes the search loop runs on.
+"""An event is its int code.
 
-A code is ``index << 2 | t`` with t = 0 for a cup, 1 for a cap, 2 for a
-negative and 3 for a positive crossing.  Encoding and decoding must be
-inverse on every event, the normal form of codes must equal the bubble
-passes of ``tests/oracles.py`` on the decoded events, and the public
+A ``MorseEvent``'s value is ``index << 2 | t`` with t = 0 for a cup, 1 for
+a cap, 2 for a negative and 3 for a positive crossing.  Its fields must
+read back from the code for every index, the normal form of events must
+equal the bubble passes of ``tests/oracles.py``, and the public
 ``canonical_key`` must still take a word or any event sequence.
 """
 
 import random
 
 from conftest import random_closed_events, random_events
-from morsewidth.events import MorseEvent, MorseWord, cap, cross, cup
-from morsewidth.moves import _decode, _encode, _normal, canonical_key
+from morsewidth.events import EventKind, MorseEvent, MorseWord
+from morsewidth.moves import _normal, canonical_key
 from oracles import oracle_canonical_key
 
 
-def test_codes_round_trip():
-    # Indices past 256 are past the small-int cache: codes compare by value.
-    events = [
-        event
-        for i in range(1, 301)
-        for event in (cup(i), cap(i), cross(i, -1), cross(i, 1))
-    ]
-    codes = _encode(events)
-    assert type(codes) is tuple and all(type(c) is int for c in codes)
-    assert codes == tuple(range(4, 4 * 301))  # index << 2 | t, t in event order
-    decoded = _decode(codes)
-    assert decoded == tuple(events)
-    assert all(type(e) is MorseEvent for e in decoded)
-    assert _encode(decoded) == codes
-    assert [c & 2 != 0 for c in codes[:4]] == [False, False, True, True]
+def test_events_round_trip():
+    # Negative indices round-trip because >> rounds down; indices past 256
+    # are past the small-int cache, so codes must compare by value.
+    fields = [(EventKind.CUP, 0), (EventKind.CAP, 0), (EventKind.CROSS, -1), (EventKind.CROSS, 1)]
+    for index in range(-3, 301):
+        for t, (kind, sign) in enumerate(fields):
+            e = MorseEvent(kind, index, sign)
+            assert type(e) is MorseEvent
+            assert (e.kind, e.index, e.sign) == (kind, index, sign)
+            assert int(e) == index << 2 | t
 
 
 def test_normal_form_of_codes_equals_the_bubble_oracle():
@@ -37,12 +32,13 @@ def test_normal_form_of_codes_equals_the_bubble_oracle():
     moved = 0
     for n in range(2000):
         events = random_events(rng) if n % 2 else random_closed_events(rng, max_events=30)
-        codes = _encode(events)
-        key = _normal(codes)
+        events = tuple(events)
+        key = _normal(events)
         expected = oracle_canonical_key(events)
-        assert _decode(key) == expected, [str(e) for e in events]
-        assert (key is codes) is (expected == tuple(events))
-        moved += key is not codes
+        assert key == expected, [str(e) for e in events]
+        assert all(type(e) is MorseEvent for e in key)
+        assert (key is events) is (expected == events)
+        moved += key is not events
     assert moved > 500
 
 

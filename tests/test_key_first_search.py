@@ -4,9 +4,11 @@ A search splices one position (its events) from its parent per new
 position and none for a duplicate; the only whole word it simulates is
 the one it returns.  Skipping duplicates is sound because words sharing
 a canonical key share their strand counts and component count.  Events
-are tuples, so keys hash in C.
+are ints, so keys hash in C.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -101,12 +103,28 @@ def test_words_sharing_a_key_share_counts_and_components():
         assert len({shape for _, shape in group}) == 1
 
 
-def test_events_hash_and_compare_as_tuples():
-    assert MorseEvent.__hash__ is tuple.__hash__
-    assert isinstance(cross(2, 1), tuple)
-    assert hash(cross(2, 1)) == hash(MorseEvent(EventKind.CROSS, 2, 1))
+def test_events_hash_compare_and_sort_as_their_codes():
+    assert MorseEvent.__hash__ is int.__hash__
+    assert int(cross(2, 1)) == 11 and cup(1) == 4
+    for e in (cup(1), cap(1), cross(2, -1), cross(2, 1), cup(300)):
+        assert hash(e) == hash(int(e))
     assert cup(1) == MorseEvent(EventKind.CUP, 1) != cap(1)
     assert (cup(2).kind, cup(2).index, cup(2).sign) == (EventKind.CUP, 2, 0)
+    events = [cross(2, 1), cup(3), cap(1), cross(2, -1), cup(1)]
+    assert sorted(events) == [cup(1), cap(1), cross(2, -1), cross(2, 1), cup(3)]
+    assert sorted(events) == sorted(events, key=int)
+
+
+def test_events_repr_names_the_event():
+    events = (cup(1), cap(2), cross(3, -1), cross(1, 1))
+    assert [repr(e) for e in events] == ["cup(1)", "cap(2)", "cross(3, -1)", "cross(1, 1)"]
+    assert [f"{e}" for e in events] == ["b1", "d2", "x3-", "x1+"]
+
+
+def test_events_copy_and_pickle_as_events():
+    for e in (cup(1), cap(2), cross(3, -1), cross(1, 1)):
+        for again in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert type(again) is MorseEvent and again == e
 
 
 @pytest.mark.parametrize(
@@ -116,11 +134,14 @@ def test_events_hash_and_compare_as_tuples():
 def test_bad_sign_raises_value_error(kind, sign):
     with pytest.raises(ValueError):
         MorseEvent(kind, 1, sign)
-    with pytest.raises(ValueError):
-        MorseEvent._make((kind, 1, sign))
-    good = cross(1, 1) if kind is EventKind.CROSS else MorseEvent(kind, 1)
-    with pytest.raises(ValueError):
-        good._replace(sign=sign)
+
+
+@pytest.mark.parametrize("kind", ["cup", "cross", 0, None])
+def test_a_kind_that_is_not_an_event_kind_raises_value_error(kind):
+    with pytest.raises(ValueError, match=repr(kind)):
+        MorseEvent(kind, 1)
+    with pytest.raises(ValueError, match=repr(kind)):
+        MorseEvent(kind, 1, 1)
 
 
 def test_events_are_immutable():

@@ -12,7 +12,7 @@ alike.
 A rule replaced in the table is seen by the next search once the caches
 are emptied, as the ``patch_rule`` fixture does, and a fake in place of
 the rewrite cache once the memo is, as ``patch_rewrite`` does.  A search
-runs on int event codes, decoded here wherever events are compared.  A position in
+runs on the word's own events, which are ints.  A position in
 ``canonical_key`` normal form is flagged ordered, and its child by a
 rewrite that is in order, with its two seams in order, is keyed by its
 events with no scan: every flag must equal the scan's answer, and a seam
@@ -25,7 +25,14 @@ import pytest
 
 import morsewidth.moves as moves_mod
 import morsewidth.search as search_mod
-from conftest import BEAM_4_STEPS_8, BEAM_8_STEPS_6, random_closed_word, random_knot_word, spy
+from conftest import (
+    BEAM_4_STEPS_8,
+    BEAM_8_STEPS_6,
+    random_closed_word,
+    random_knot_word,
+    site_entries,
+    spy,
+)
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseWord, _validated_trace, cap, cross, cup
@@ -33,8 +40,6 @@ from morsewidth.invariants import level_profile, levels
 from morsewidth.moves import (
     Move,
     MoveKind,
-    _decode,
-    _encode,
     apply_move,
     canonical_key,
     enumerate_moves,
@@ -85,10 +90,9 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     assert len(children) == visited > 5000
     kept_key = 0
     carried = kind not in (ObjectiveKind.GABAI_WIDTH, ObjectiveKind.CRITICAL_COUNT)
-    for searched_for, (_, parent_codes, _, _, parent_levels), move, flat, child in children:
-        key, codes, trail, _, lv = child
+    for searched_for, (_, parent_events, _, _, parent_levels), move, flat, child in children:
+        key, events, trail, _, lv = child
         assert searched_for is objective and Move(*trail[1:]) == move
-        parent_events, events = _decode(parent_codes), _decode(codes)
         parent, simulated = MorseWord(parent_events), MorseWord(events)
         assert simulated.component_count == parent.component_count
         assert key == objective.key(simulated), str(simulated)
@@ -106,16 +110,15 @@ def test_patched_candidates_equal_simulated_words(children, kind):
     assert 0 < kept_key < len(children)
 
 
-def in_normal_form(codes) -> bool:
-    events = _decode(codes)
+def in_normal_form(events) -> bool:
     return canonical_key(events) == events
 
 
-def seams(parent_codes, site, width, new):
-    """The pairs a rewrite of ``width`` codes at ``site`` makes with the word
+def seams(parent_events, site, width, new):
+    """The pairs a rewrite of ``width`` events at ``site`` makes with the word
     round it: (below, first) and (last, above), or (below, above) for an
     empty rewrite; a cup code, 0, stands in past either end."""
-    padded = (0, *parent_codes, 0)
+    padded = (0, *parent_events, 0)
     below, above = padded[site], padded[site + width + 1]
     return [(below, new[0]), (new[-1], above)] if new else [(below, above)]
 
@@ -124,7 +127,7 @@ def seams(parent_codes, site, width, new):
 def orders(monkeypatch):
     """(skipped, events, ordered) of every new position, where skipped means
     that its parent was ordered, its rewrite is in normal form and so is each
-    pair at its seams (as ``canonical_key`` decides on the decoded events),
+    pair at its seams (as ``canonical_key`` decides),
     so that the search took its events as its key with no scan."""
 
     def made(args, _):
@@ -231,10 +234,10 @@ def test_seams_decide_the_order_of_a_child():
     kept, stayed, left = set(), 0, 0
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        codes = _encode(word.events)
-        ordered = in_normal_form(codes)
-        for k, n, kind, rule, found in moves_mod._sites(codes, None):
-            window = codes[k : k + rule.width]
+        ev = word.events
+        ordered = in_normal_form(ev)
+        for k, n, kind, rule, found in site_entries(word):
+            window = ev[k : k + rule.width]
             for params in found:
                 new, *_, in_order, first, last, _, _ = moves_mod._rewrite(rule, window, params, n)
                 assert in_order is in_normal_form(new)
@@ -244,7 +247,7 @@ def test_seams_decide_the_order_of_a_child():
                 # A child of an ordered word is ordered exactly when its
                 # rewrite and both seams are.
                 out = apply_move(word, Move(kind, k, params)).events
-                pairs = [new, *seams(codes, k, rule.width, new)]
+                pairs = [new, *seams(ev, k, rule.width, new)]
                 assert (canonical_key(out) == out) is all(map(in_normal_form, pairs))
                 if all(map(in_normal_form, pairs)):
                     kept.add(kind)
@@ -295,15 +298,14 @@ def test_every_rewrite_of_a_random_word_passes_the_local_check():
     rng = random.Random(11)
     for _ in range(100):
         word = random_closed_word(rng, max_events=16)
-        codes = _encode(word.events)
-        for k, n, kind, rule, found in moves_mod._sites(codes, None):
+        for k, n, kind, rule, found in site_entries(word):
             end = k + rule.width
-            window = codes[k:end]
+            window = word.events[k:end]
             for params in found:
                 entry = moves_mod._rewrite(rule, window, params, n)
                 new, flat, width_change, critical_change, *_, inner, replaced = entry
                 out = apply_move(word, Move(kind, k, params))
-                assert out.events == word.events[:k] + _decode(new) + word.events[end:]
+                assert out.events == word.events[:k] + new + word.events[end:]
                 now = [c for c, d in zip(out.counts, out.counts[1:]) if c != d]
                 old = [c for c, d in zip(word.counts, word.counts[1:]) if c != d]
                 assert flat is (now == old)
@@ -359,8 +361,8 @@ def test_the_local_check_counts_loops_and_refuses_none():
     # A window and its rewrite that each close one loop keep the component
     # count: a check that read them as tangles would refuse both loops.
     moved = moves_mod._Rule(2, 0, False, lambda w, n: [()], lambda w, p: (cup(3), cap(3)))
-    new = moves_mod._rewrite(moved, _encode((cup(1), cap(1))), (), 2)[0]
-    assert _decode(new) == (cup(3), cap(3))
+    new = moves_mod._rewrite(moved, (cup(1), cap(1)), (), 2)[0]
+    assert new == (cup(3), cap(3))
 
 
 def test_inverse_move_refuses_when_no_listed_move_undoes(patch_rule):
@@ -381,7 +383,7 @@ def test_result_refuses_another_component_count(patch_rewrite, exhaustive):
 
     def looped(*args):
         new, *_, inner, critical = original(*args)
-        loop = _encode((cup(1), cap(1)))
+        loop = (cup(1), cap(1))
         return (new + loop, False, -100, -100, False, None, None, inner, critical)
 
     patch_rewrite(looped)

@@ -146,9 +146,9 @@ def test_a_search_reads_the_sites_enumerate_moves_cached(cold_memos):
 def test_site_entries_at_one_strand_count_share_their_insertion_lists(cold_memos):
     n = 4
     windows = ((cup(1), cap(2)), (cross(1, 1),), ())
-    entries = [moves_mod._site(moves_mod._encode(window), n) for window in windows]
+    entries = [moves_mod._site(window, n) for window in windows]
     found = [{kind: moves for kind, _, moves in entry} for entry in entries]
-    expanded = [search_mod._expansions(moves_mod._encode(window), n) for window in windows]
+    expanded = [search_mod._expansions(window, n) for window in windows]
     for kind in (MoveKind.ZIGZAG_INSERT, MoveKind.R2_INSERT):
         first, *others = [moves[kind] for moves in found]
         assert first and all(moves is first for moves in others)
@@ -165,7 +165,7 @@ def test_site_entries_at_one_strand_count_share_their_insertion_lists(cold_memos
 def test_memo_keys_hold_the_rules_themselves(cold_memos):
     # An equal copy of a rule is another key of the rewrite cache.
     rule = moves_mod._RULES[MoveKind.R2_CANCEL]
-    window, n0 = moves_mod._encode((cross(1, 1), cross(1, -1))), 2
+    window, n0 = (cross(1, 1), cross(1, -1)), 2
     entry = moves_mod._rewrite(rule, window, (), n0)
     assert moves_mod._rewrite(rule, window, (), n0) is entry
     again = moves_mod._rewrite(dataclasses.replace(rule), window, (), n0)
