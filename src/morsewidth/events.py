@@ -43,10 +43,6 @@ class EventKind(Enum):
     CAP = "cap"
     CROSS = "cross"
 
-    # Members are singletons and compare by identity, so they may hash by
-    # identity too; Enum's own __hash__ is a Python-level call.
-    __hash__ = object.__hash__
-
 
 # The kind of each type t = e & 3 of an event e; a kind's type is its first place.
 _KINDS = (EventKind.CUP, EventKind.CAP, EventKind.CROSS, EventKind.CROSS)
@@ -231,6 +227,9 @@ class _Word:
     def _store(self, events: Iterable[MorseEvent], boundary_strands: int):
         """Validate ``events`` and keep them with their strand counts."""
         self.events: tuple[MorseEvent, ...] = tuple(events)
+        if not set(map(type, self.events)) <= {MorseEvent}:  # the sweep reads only bits
+            p, e = next((p, e) for p, e in enumerate(self.events) if type(e) is not MorseEvent)
+            raise ValueError(f"event {p} must be a MorseEvent, got {e!r}")
         trace, bad = _validated_trace(self.events, boundary_strands, knot=False)
         if bad:
             raise ValidationError(bad)

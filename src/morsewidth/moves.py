@@ -30,13 +30,14 @@ site and the strand count below it, lists the site's moves, and
 to the levels and whether it is in normal form (``_normal``).  Both hand
 their windows to the rules as they are.  ``enumerate_moves`` walks the
 sites and reads ``_site``; ``apply_move`` and ``inverse_move`` read
-``_site``, then ``_rewrite`` for each move they try.  A search reads both
-only through its own memo, ``search._expansions``, which holds a site's
-``_site`` entry with the ``_rewrite`` entry of each of its moves.  A
-rule's ``params`` and ``rewrite`` are called only in the two caches and in
-``_images``, of the rewrites an insertion makes; each is an ``lru_cache``
-of at most ``_MEMO_CAP`` entries.  A rule replaced in ``_RULES`` is not
-seen by a cached entry: empty the caches.
+``_site``, then ``_rewrite`` for each move they try.  A search reads
+``_site`` alone: the first time it reads a site's entry for a rule,
+``_records`` stores in it the ``_rewrite`` entry of each of its moves, so
+the public calls, which never fill that slot, check no rewrite they do
+not try.  A rule's ``params`` and ``rewrite`` are called only in the two
+caches and in ``_images``, of the rewrites an insertion makes; each is an
+``lru_cache`` of at most ``_MEMO_CAP`` entries.  A rule replaced in
+``_RULES`` is not seen by a cached entry: empty the caches.
 
 Crossing-only moves never touch the level profile; width changes come
 only from cup/cap reordering (a cup-above-cap exchange moves the gap
@@ -68,7 +69,7 @@ class MoveKind(Enum):
     YANG_BAXTER = "YangBaxter"
     CAP_ABSORB_CROSS = "CapAbsorbCross"
 
-    __hash__ = object.__hash__  # singletons: identity hash, as for EventKind
+    __hash__ = object.__hash__  # singletons: identity hash, for a lookup per move
 
 
 class Move(NamedTuple):
@@ -228,12 +229,11 @@ _REACH = max(rule.width for rule in _RULES.values())
 # takes about 0.4 KB at 4 strands and 0.7 KB at 10, a rewrite entry about
 # 0.4 KB and a kink's image entry 0.6 KB (a finger's, one per strand count,
 # 8 KB at 10), so each stays under some 20 MiB; 1,824 random-knot searches
-# fill 1,023 site and rewrite entries.  search._level_key and
-# search._expansions have the same cap.  A level-key entry takes about 0.4 KB
-# at 8 levels and 0.5 KB at 24, its levels included.  An expansion entry takes about 0.7 KB at 4
-# strands and 0.9 KB at 8, its key included, besides the params lists and
-# rewrite entries it shares with _site and _rewrite (and keeps alive after
-# they drop them).
+# fill 1,023 site and rewrite entries.  search._level_key has the same cap;
+# a level-key entry takes about 0.4 KB at 8 levels and 0.5 KB at 24, its
+# levels included.  The records a search stores in a site entry add about
+# 0.2 KB to it at 4 strands and 0.4 KB at 10, besides the rewrite entries
+# they share with _rewrite (and keep alive after it drops them).
 _MEMO_CAP = 1 << 14
 
 
@@ -244,14 +244,25 @@ def _images(rule: _Rule, source: tuple, n: int) -> frozenset:
 
 
 @lru_cache(maxsize=_MEMO_CAP)
-def _site(window: tuple[MorseEvent, ...], n: int) -> list[tuple]:
-    """(kind, rule, params list) of each rule with a move on ``window`` (the
-    events from a site, up to _REACH of them) with ``n`` strands below it."""
+def _site(window: tuple[MorseEvent, ...], n: int) -> list[list]:
+    """[kind, rule, params list, records] of each rule with a move on
+    ``window`` (the events from a site, up to _REACH of them) with ``n``
+    strands below it.  Records is None until a search reads the entry
+    (``_records``)."""
     return [
-        (kind, rule, found)
+        [kind, rule, found, None]
         for kind, rule in _RULES.items()
         if rule.width <= len(window) and (found := rule.params(window[: rule.width], n))
     ]
+
+
+def _records(entry: list, window: tuple[MorseEvent, ...], n: int) -> tuple[tuple, ...]:
+    """The ``_rewrite`` entry of each params of ``entry``, a ``_site`` entry
+    of ``window`` with ``n`` strands below it, stored in its records slot."""
+    _, rule, found, _ = entry
+    source = window[: rule.width]
+    entry[3] = records = tuple(_rewrite(rule, source, params, n) for params in found)
+    return records
 
 
 def _counts(ev: Sequence[MorseEvent]) -> tuple[int, ...]:
@@ -259,17 +270,14 @@ def _counts(ev: Sequence[MorseEvent]) -> tuple[int, ...]:
     return tuple(accumulate([_SHIFT[e & 3] for e in ev], initial=0))
 
 
-def enumerate_moves(word: MorseWord, max_delta: int | None = None) -> list[Move]:
+def enumerate_moves(word: MorseWord) -> list[Move]:
     """All valid moves, in deterministic order (site, then kind, then
-    parameters), read off ``_site`` at each site as a search reads them.
-    ``max_delta`` leaves out the kinds whose length delta exceeds it, as a
-    length budget would; None keeps every kind."""
+    parameters), read off ``_site`` at each site as a search reads them."""
     ev = require_closed(word, "a move").events
     return [
         Move(kind, k, params)
         for k, n in enumerate(_counts(ev))
-        for kind, rule, found in _site(ev[k : k + _REACH], n)
-        if max_delta is None or rule.length_delta <= max_delta
+        for kind, _, found, _ in _site(ev[k : k + _REACH], n)
         for params in found
     ]
 
@@ -281,7 +289,7 @@ def apply_move(word: MorseWord, move: Move) -> MorseWord:
     ev, k = require_closed(word, "a move").events, move.site
     window = ev[k : k + _REACH]
     entries = _site(window, word.counts[k]) if 0 <= k <= len(ev) else ()
-    for kind, rule, found in entries:
+    for kind, rule, found, _ in entries:
         if kind is move.kind and move.params in found:
             new = _rewrite(rule, window[: rule.width], move.params, word.counts[k])[0]
             return MorseWord(ev[:k] + new + ev[k + rule.width :])
@@ -325,7 +333,7 @@ def inverse_move(word: MorseWord, move: Move) -> Move:
     out = apply_move(word, move)
     ev, k, n = out.events, move.site, out.counts[move.site]
     window = ev[k : k + _REACH]
-    for kind, rule, found in _site(window, n):
+    for kind, rule, found, _ in _site(window, n):
         if rule.length_delta == -LENGTH_DELTA[move.kind]:
             end = k + rule.width
             for params in found:

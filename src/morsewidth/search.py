@@ -3,12 +3,12 @@
 A node is a position (key, events, trail, ordered, levels), its events the
 word's own ``MorseEvent`` ints; edges are rewrite moves, and the strand
 counts that a move needs are summed from the events' bits.  The loop walks
-each parent's sites itself and reads a site's moves in one lookup of one
-bounded memo, ``_expansions``, keyed like ``moves._site`` by the events
-from the site up to ``moves._REACH`` and the strand count below it.  An
-entry lists, per rule with moves there, its width, its length delta, its
-params list (``_site``'s own) and the ``moves._rewrite`` entry of each
-params; a miss reads ``_site`` once and ``_rewrite`` once per params.
+each parent's sites itself and reads a site's moves in one lookup of
+``moves._site``, keyed by the events from the site up to
+``moves._REACH`` and the strand count below it.  An entry lists, per rule
+with moves there, its params list and the records of its moves: the
+``moves._rewrite`` entry of each params, which ``moves._records`` stores in
+the entry the first time a search reads it within the length budget.
 A child's width or critical-count key is its parent's plus the rewrite's
 change.  A search for any other key carries each position's levels: a
 child splices its parent's with the rewrite's, and takes its key from
@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 from .bracket import jones_normalized
 from .errors import BracketMismatch, BudgetExceeded, InvalidMove
-from .events import MorseEvent, MorseWord, require_knot
+from .events import MorseWord, require_knot
 from .invariants import (
     EmbeddingReport,
     LevelProfile,
@@ -56,7 +56,7 @@ from .moves import (
     MoveKind,
     _counts,
     _normal,
-    _rewrite,
+    _records,
     _site,
 )
 
@@ -68,7 +68,7 @@ class ObjectiveKind(Enum):
     TRUNK_ONLY = "trunk"
     HEIGHT = "height"
 
-    __hash__ = object.__hash__  # singletons: identity hash, as for EventKind
+    __hash__ = object.__hash__  # singletons: identity hash, for a lookup per candidate
 
 
 # Every key is read off the word's level profile.
@@ -94,25 +94,6 @@ def _level_key(kind: ObjectiveKind, levels: tuple[int, ...]) -> tuple:
     """The ``kind`` key of a position with these levels: a search builds a
     level profile only the first time it meets them."""
     return _PROFILE_KEYS[kind](LevelProfile(levels))
-
-
-@lru_cache(maxsize=_MEMO_CAP)
-def _expansions(window: tuple[MorseEvent, ...], n: int) -> tuple[tuple, ...]:
-    """(kind, width, length delta, params list, rewrites) of each rule with a
-    move on ``window`` (the events from a site, up to _REACH of them) with
-    ``n`` strands below it, in the order of ``moves._site``, which lists the
-    params; rewrites holds the moves._rewrite entry of each params in turn.
-    A search reads a site's moves and their rewrites in this one lookup."""
-    return tuple(
-        (
-            kind,
-            rule.width,
-            rule.length_delta,
-            found,
-            tuple(_rewrite(rule, window[: rule.width], params, n) for params in found),
-        )
-        for kind, rule, found in _site(window, n)
-    )
 
 
 @dataclass(frozen=True)
@@ -248,14 +229,18 @@ def _frontier_search(
             # Where each site's levels start: the cups and caps below it.
             starts = [*accumulate([not c & 2 for c in ev], initial=0)] if carry else None
             for k, n in enumerate(_counts(ev)):
-                for kind, width, delta, found, rewrites in _expansions(ev[k : k + _REACH], n):
-                    if delta > budget:
+                window = ev[k : k + _REACH]
+                for entry in _site(window, n):
+                    kind, rule, found, records = entry
+                    if rule.length_delta > budget:
                         continue
-                    end = k + width
+                    if records is None:
+                        records = _records(entry, window, n)
+                    end = k + rule.width
                     head, tail = ev[:k], ev[end:]
                     # The events at the seams; 0, a cup, stands in past either end.
                     below, above = ev[k - 1] if k else 0, ev[end] if end < size else 0
-                    for params, rewrite in zip(found, rewrites):
+                    for params, rewrite in zip(found, records):
                         # Key first, build only new positions.  Equal keys
                         # differ only by distant crossing swaps, which keep
                         # index validity, counts and component count: the

@@ -108,13 +108,12 @@ def rng() -> random.Random:
 
 
 def clear_move_caches() -> None:
-    """Empty every cache that every search shares: the site moves, rewrites
-    and insertion images, the search's expansions of a site, and the keys
-    of levels."""
+    """Empty every cache that every search shares: the site moves, with the
+    records a search stores in them, the rewrites and insertion images, and
+    the keys of levels."""
     moves_mod._site.cache_clear()
     moves_mod._rewrite.cache_clear()
     moves_mod._images.cache_clear()
-    search_mod._expansions.cache_clear()
     search_mod._level_key.cache_clear()
 
 
@@ -141,7 +140,7 @@ def site_entries(word: MorseWord):
     ``enumerate_moves`` over ``moves._site``, which a search makes too."""
     ev = word.events
     for k, n in enumerate(moves_mod._counts(ev)):
-        for kind, rule, found in moves_mod._site(ev[k : k + moves_mod._REACH], n):
+        for kind, rule, found, _ in moves_mod._site(ev[k : k + moves_mod._REACH], n):
             yield k, n, kind, rule, found
 
 

@@ -1,6 +1,6 @@
-"""Budgeted move enumeration, the strand counts its scan sums, the
-ZigZagInsert parameter order, and the identity hashes of the enum members
-that key sets and dicts."""
+"""Move enumeration, the strand counts its scan sums, the ZigZagInsert
+parameter order, and the identity hashes of the enum members that key the
+move table and the search's delta fields."""
 
 import random
 
@@ -8,8 +8,7 @@ import pytest
 
 import morsewidth.moves as moves_mod
 from conftest import random_closed_word, site_entries
-from morsewidth.events import EventKind
-from morsewidth.moves import LENGTH_DELTA, MoveKind, _zigzag_insert_params, enumerate_moves
+from morsewidth.moves import MoveKind, _zigzag_insert_params, enumerate_moves
 from morsewidth.search import ObjectiveKind
 
 
@@ -32,18 +31,7 @@ def test_running_counts_equal_the_simulated_counts():
     assert pairs > 10_000
 
 
-@pytest.mark.parametrize("max_delta", range(-2, 3))
-def test_budget_drops_exactly_the_kinds_over_it(max_delta):
-    rng = random.Random(40 + max_delta)
-    for _ in range(40):
-        word = random_closed_word(rng, max_events=18)
-        every = enumerate_moves(word)
-        expected = [m for m in every if LENGTH_DELTA[m.kind] <= max_delta]
-        assert enumerate_moves(word, max_delta=max_delta) == expected
-    assert enumerate_moves(word, max_delta=None) == every
-
-
-@pytest.mark.parametrize("enum", [EventKind, MoveKind, ObjectiveKind])
+@pytest.mark.parametrize("enum", [MoveKind, ObjectiveKind])
 def test_enum_members_hash_by_identity(enum):
     members = list(enum)
     for a in members:

@@ -1,5 +1,7 @@
 """Word construction and validation."""
 
+import functools
+
 import pytest
 
 from morsewidth.errors import ValidationError
@@ -97,6 +99,26 @@ class TestMorseWord:
             MorseWord([cup(1), cross(5, 1), cap(1)])
         v = next(v for v in err.value.violations if v.code == "BadIndex")
         assert v.position == 1
+
+
+# A valid closed word and a valid tangle word on two boundary strands.
+WORDS = [
+    (MorseWord, [cup(1), cup(2), cap(1), cap(1)]),
+    (functools.partial(TangleWord, 2), [cross(1, 1), cap(1)]),
+]
+
+
+@pytest.mark.parametrize("build, events", WORDS, ids=["MorseWord", "TangleWord"])
+def test_words_refuse_plain_int_events(build, events):
+    # The sweep reads only bits, so the codes alone would validate.
+    build(events)
+    plain = [int(e) for e in events]
+    for p, code in enumerate(plain):
+        mixed = [*events[:p], code, *events[p + 1 :]]
+        with pytest.raises(ValueError, match=f"^event {p} must be a MorseEvent, got {code}$"):
+            build(mixed)
+    with pytest.raises(ValueError, match=f"^event 0 must be a MorseEvent, got {plain[0]}$"):
+        build(plain)
 
 
 class TestValidateFunction:

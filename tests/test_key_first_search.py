@@ -20,7 +20,7 @@ from conftest import SEARCHES, clear_move_caches, random_closed_word, spy
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.errors import InvalidMove
 from morsewidth.events import EventKind, MorseEvent, MorseWord, cap, cross, cup
-from morsewidth.moves import MoveKind, apply_move, canonical_key, enumerate_moves
+from morsewidth.moves import LENGTH_DELTA, MoveKind, apply_move, canonical_key, enumerate_moves
 from morsewidth.search import SearchConfig, beam_search
 
 
@@ -93,7 +93,9 @@ def test_words_sharing_a_key_share_counts_and_components():
             word.counts,
             word.component_count,
         )
-        for move in enumerate_moves(word, 0):
+        for move in enumerate_moves(word):
+            if LENGTH_DELTA[move.kind] > 0:
+                continue
             out = apply_move(word, move)
             shape = (out.counts, out.component_count)
             shapes.setdefault(canonical_key(out), set()).add((out.events, shape))

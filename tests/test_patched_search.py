@@ -1,7 +1,7 @@
 """A search splices each new position's events from its parent's instead
 of simulating them, and two caches feed it: the moves valid at a site and
-the checked rewrite of a window, both read through the search's memo of
-each site's moves with their rewrites.
+the checked rewrite of a window, which the search stores in the site's
+entry the first time it reads it.
 
 Every spliced position must equal the validating constructor's word
 (component count, objective key and carried levels) and the table rule's
@@ -11,7 +11,7 @@ that breaks locality must be refused, by a search and by ``apply_move``
 alike.
 A rule replaced in the table is seen by the next search once the caches
 are emptied, as the ``patch_rule`` fixture does, and a fake in place of
-the rewrite cache once the memo is, as ``patch_rewrite`` does.  A search
+the rewrite cache once the site cache is, as ``patch_rewrite`` does.  A search
 runs on the word's own events, which are ints.  A position in
 ``canonical_key`` normal form is flagged ordered, and its child by a
 rewrite that is in order, with its two seams in order, is keyed by its
@@ -184,16 +184,16 @@ def test_ordered_flags_equal_the_scan(orders):
 @pytest.fixture
 def patch_rewrite(monkeypatch):
     """``patch_rewrite(fake)`` puts ``fake`` in place of the ``_rewrite`` a
-    search reads, for one test.  The search's memo of site expansions holds
-    the rewrite entries it was filled with, so it is emptied when the fake
-    goes in and again at the end: no fake entry outlives its test in it."""
+    search reads, for one test.  The site cache holds the rewrite entries a
+    search stored in it, so it is emptied when the fake goes in and again
+    at the end: no fake entry outlives its test in it."""
 
     def patch(fake):
-        monkeypatch.setattr(search_mod, "_rewrite", fake)
-        search_mod._expansions.cache_clear()
+        monkeypatch.setattr(moves_mod, "_rewrite", fake)
+        moves_mod._site.cache_clear()
 
     yield patch
-    search_mod._expansions.cache_clear()
+    moves_mod._site.cache_clear()
 
 
 def test_a_rewrite_claiming_order_for_crossings_is_caught(patch_rewrite, orders):
@@ -414,7 +414,7 @@ def test_a_rule_patched_after_a_search_is_seen(patch_rule):
         exhaustive_min(start, radius=1, insertion_budget=2)
 
 
-def per_rule_moves(word, max_delta):
+def per_rule_moves(word):
     """Enumeration without a cache: every rule's predicate at every site."""
     moves = []
     for k in range(len(word.events) + 1):
@@ -422,22 +422,18 @@ def per_rule_moves(word, max_delta):
             end = k + rule.width
             if end > len(word.events):
                 continue
-            if max_delta is not None and rule.length_delta > max_delta:
-                continue
             for params in rule.params(word.events[k:end], word.counts[k]):
                 moves.append(Move(kind, k, params))
     return moves
 
 
-@pytest.mark.parametrize("max_delta", [None, -2, -1, 0, 1, 2])
-def test_enumeration_equals_a_per_rule_loop(max_delta):
+def test_enumeration_equals_a_per_rule_loop():
     rng = random.Random(200)
     kinds = set()
     for _ in range(200):
         word = random_closed_word(rng, max_events=18)
-        moves = enumerate_moves(word, max_delta)
-        assert moves == per_rule_moves(word, max_delta), str(word)
+        moves = enumerate_moves(word)
+        assert moves == per_rule_moves(word), str(word)
         kinds.update(m.kind for m in moves)
-    if max_delta is None:
-        assert kinds == set(MoveKind)
+    assert kinds == set(MoveKind)
 

@@ -15,7 +15,7 @@ from conftest import random_bridge_word, random_closed_word, random_knot_word
 from morsewidth.catalog import catalog, entries, pad_with_fingers, torus_plat
 from morsewidth.events import EventKind, MorseWord, TangleWord, cap, cross, cup
 from morsewidth.invariants import embedding_report, is_bridge_position
-from morsewidth.moves import apply_move, enumerate_moves
+from morsewidth.moves import LENGTH_DELTA, apply_move, enumerate_moves
 from morsewidth.search import classify_positions
 
 
@@ -86,7 +86,8 @@ def move_variants(rng, start, count, steps=6, max_len=20):
     while len(words) < count:
         word = start
         for _ in range(rng.randint(1, steps)):
-            moves = enumerate_moves(word, max_len - len(word.events))
+            budget = max_len - len(word.events)
+            moves = [m for m in enumerate_moves(word) if LENGTH_DELTA[m.kind] <= budget]
             if not moves:
                 break
             word = apply_move(word, rng.choice(moves))

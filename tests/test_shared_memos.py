@@ -2,10 +2,11 @@
 
 The moves of a site and the checked rewrite of a window are facts of the
 rule table, so one cache of each serves every search: a second identical
-search makes no local check at all.  A search reads them through a third
-cache, its memo of each site's moves with their rewrites, which reads the
-two only on a miss.  ``enumerate_moves`` reads the same site cache, and
-the insertion rules' moves at one strand count are one shared list, with
+search makes no local check at all.  The first time a search reads a
+site's entry it stores there the rewrite entry of each of its moves, and
+reads them from the entry after that; ``enumerate_moves``, ``apply_move``
+and ``inverse_move`` read the same site cache and store nothing in it.
+The insertion rules' moves at one strand count are one shared list, with
 one shared rewrite entry per move.  Each cache is bounded, least recently
 used out, and a search reads the same moves from small caches as from
 large ones.  The width and critical-count keys of a new position are its
@@ -38,8 +39,16 @@ from conftest import (
     spy,
 )
 from morsewidth.catalog import catalog, pad_with_fingers
+from morsewidth.catalog import entries as catalog_entries
 from morsewidth.events import MorseWord, cap, cross, cup
-from morsewidth.moves import Move, MoveKind, canonical_key, enumerate_moves
+from morsewidth.moves import (
+    Move,
+    MoveKind,
+    apply_move,
+    canonical_key,
+    enumerate_moves,
+    inverse_move,
+)
 from morsewidth.search import Objective, ObjectiveKind, SearchConfig, beam_search, exhaustive_min
 from oracles import oracle_canonical_key
 
@@ -69,9 +78,21 @@ def test_a_second_identical_search_makes_no_local_check(cold_memos, local_checks
     assert second.visited == first.visited > 500
 
 
-# The caches a search reads, in the order it reads them: its memo of site
-# expansions, and on a miss there the site's moves and their rewrites.
-SEARCH_CACHES = ("_expansions", "_site", "_rewrite")
+# The caches a search reads, in the order it reads them: the site's moves,
+# and the first time it reads a site's entry the rewrites it stores there.
+SEARCH_CACHES = ("_site", "_rewrite")
+
+
+def sized_caches(monkeypatch, *sizes):
+    """New ``SEARCH_CACHES`` of these sizes, in every module that holds one."""
+    caches = []
+    for name, size in zip(SEARCH_CACHES, sizes, strict=True):
+        cache = functools.lru_cache(maxsize=size)(getattr(moves_mod, name).__wrapped__)
+        for module in (moves_mod, search_mod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, cache)
+        caches.append(cache)
+    return caches
 
 
 def test_small_caches_give_the_same_search(monkeypatch):
@@ -79,27 +100,15 @@ def test_small_caches_give_the_same_search(monkeypatch):
     search = SEARCHES[1]
     start = pad_with_fingers(catalog("trefoil_plat"), 1)
     first = search(start)
-    for name in SEARCH_CACHES:
-        small = functools.lru_cache(maxsize=4)(getattr(search_mod, name).__wrapped__)
-        monkeypatch.setattr(search_mod, name, small)
+    sites, rewrites = sized_caches(monkeypatch, 4, 4)
     second = search(start)
-    assert search_mod._rewrite.cache_info().currsize == 4
-    assert search_mod._site.cache_info().misses > 100
-    assert search_mod._expansions.cache_info().currsize == 4
-    assert search_mod._expansions.cache_info().misses > 100
+    for cache in (sites, rewrites):
+        assert cache.cache_info().currsize == 4 and cache.cache_info().misses > 100
     assert (second.best_word, second.trace, second.visited) == (
         first.best_word,
         first.trace,
         first.visited,
     )
-
-
-def sized_caches(monkeypatch, *sizes):
-    """New ``SEARCH_CACHES`` of these sizes where a search looks them up."""
-    for name, size in zip(SEARCH_CACHES, sizes, strict=True):
-        cache = functools.lru_cache(maxsize=size)(getattr(search_mod, name).__wrapped__)
-        monkeypatch.setattr(search_mod, name, cache)
-    return [getattr(search_mod, name) for name in SEARCH_CACHES]
 
 
 @pytest.mark.parametrize("over", [False, True])
@@ -110,7 +119,7 @@ def test_a_search_empties_memos_over_their_cap(local_checks, monkeypatch, over):
     search = SEARCHES[1]
     start = pad_with_fingers(catalog("trefoil_plat"), 1)
     first = search(start)
-    unbounded = sized_caches(monkeypatch, None, None, None)
+    unbounded = sized_caches(monkeypatch, None, None)
     search(start)
     held = [cache.cache_info().currsize for cache in unbounded]
     caches = sized_caches(monkeypatch, *(n - over for n in held))
@@ -118,8 +127,8 @@ def test_a_search_empties_memos_over_their_cap(local_checks, monkeypatch, over):
     built = caches[0].cache_info().misses
     search(start)
     assert (caches[0].cache_info().misses > built) == over
-    # With the memo of expansions emptied, the search reads every site's
-    # moves and rewrites again from the two caches below it.
+    # With the site cache emptied, the search stores every site's rewrites
+    # again, read from the rewrite cache.
     caches[0].cache_clear()
     local_checks.clear()
     second = search(start)
@@ -147,19 +156,53 @@ def test_site_entries_at_one_strand_count_share_their_insertion_lists(cold_memos
     n = 4
     windows = ((cup(1), cap(2)), (cross(1, 1),), ())
     entries = [moves_mod._site(window, n) for window in windows]
-    found = [{kind: moves for kind, _, moves in entry} for entry in entries]
-    expanded = [search_mod._expansions(window, n) for window in windows]
+    found = [{kind: moves for kind, _, moves, _ in entry} for entry in entries]
     for kind in (MoveKind.ZIGZAG_INSERT, MoveKind.R2_INSERT):
         first, *others = [moves[kind] for moves in found]
         assert first and all(moves is first for moves in others)
-        # A search's expansion of each site holds that list and, for each of
-        # its params, the one rewrite entry of the insertion at n strands.
-        (params, rewrites), *more = [item[3:] for e in expanded for item in e if item[0] is kind]
-        assert params is first and len(rewrites) == len(first) and all(
-            p is params and all(map(operator.is_, r, rewrites)) for p, r in more
-        )
-    wider = {kind: moves for kind, _, moves in moves_mod._site((), n + 2)}
+    wider = {kind: moves for kind, _, moves, _ in moves_mod._site((), n + 2)}
     assert wider[MoveKind.ZIGZAG_INSERT] is not found[0][MoveKind.ZIGZAG_INSERT]
+
+
+def test_the_public_move_calls_store_no_rewrites(cold_memos, monkeypatch):
+    # Only a search stores a site's rewrites, so enumerating, applying and
+    # undoing moves check no rewrite they do not try.
+    reads = spy(monkeypatch, "_site", moves_mod, record=lambda args, site: site)
+    words = [catalog(name) for name, _ in catalog_entries() if name != "torus_plat(p,q)"]
+    for word in words:
+        if isinstance(word, MorseWord):
+            for move in enumerate_moves(word):
+                apply_move(word, move)
+                inverse_move(word, move)
+    read = [entry for site in reads for entry in site]
+    assert len(read) > 10_000 and all(records is None for *_, records in read)
+    # A search that reads some of the same entries stores their rewrites.
+    exhaustive_min(catalog("padded_trefoil"), radius=1)
+    assert any(records is not None for *_, records in read)
+
+
+def test_a_search_stores_the_rewrite_of_each_move_of_a_site(cold_memos, monkeypatch):
+    reads = spy(monkeypatch, "_site", search_mod, record=lambda args, site: (*args, site))
+    beam_search(pad_with_fingers(catalog("trefoil_plat"), 2), config=BEAM_8_STEPS_6)
+    sites = {(window, n): site for window, n, site in reads}
+    stored, shared, insertions = 0, {}, 0
+    for (window, n), site in sites.items():
+        for kind, rule, found, records in site:
+            # Every rule but an insertion fits any length budget.
+            if records is None:
+                assert rule.length_delta > 0
+                continue
+            source = window[: rule.width]
+            rewrites = [moves_mod._rewrite(rule, source, params, n) for params in found]
+            assert len(records) == len(found) and all(map(operator.is_, records, rewrites))
+            stored += 1
+            if rule.width == 0:
+                # An insertion's records at one strand count are the same
+                # rewrite entries at every site.
+                first = shared.setdefault((kind, n), records)
+                assert all(map(operator.is_, records, first))
+                insertions += records is not first
+    assert stored > 200 and insertions > 100
 
 
 def test_memo_keys_hold_the_rules_themselves(cold_memos):
