@@ -24,7 +24,12 @@ kept for API and CLI compatibility, not because of cost.
 A matching is an int, a Dyck word from strand 0 at the lowest bit: bit k
 is 1 when strand k's partner lies above it.  A cup at i inserts the bits
 1, 0 at i.  `_join` is a horizontal smoothing, a cap on strands i, i+1
-and a cup in its place; a cap is `_join`, then drops bits i and i+1.
+and a cup in its place; a cap is `_join`, then drops bits i and i+1.  The
+join leaves the matching unchanged exactly when the cap closes a loop
+(bits i, i+1 are 1, 0), so the sweep reads a loop from an unchanged int.
+A vertical smoothing keeps every matching, so a crossing's vertical term
+is one dict comprehension over the states, or a copy of them, and only
+the horizontal term is a loop.
 
 A smoothing moves an exponent by +-1 and delta by +-2, so at each level
 every exponent has the parity of the crossings below it: p(A) = A^parity
@@ -41,6 +46,8 @@ and O = (M + 1) // 2 keeps every term in digits 0 to 2O.  The width b
 only has to hold the final coefficients as signed digits in [-B/2, B/2).
 A crossing weighs at most 1 + 2, a cap 2 and the last cap 1, so those
 coefficients' absolute values sum to at most 3^c * 2^(k-1) < 2^(b-1).
+The final int is decoded from its lowest nonzero digit up, until nothing
+is left, so zero digits below and above the polynomial cost nothing.
 """
 
 from __future__ import annotations
@@ -149,17 +156,17 @@ def _partner(x: int, k: int) -> int:
     return k
 
 
-def _join(x: int, i: int) -> tuple[int, bool]:
+def _join(x: int, i: int) -> int:
     """A cap on strands i, i+1 of a matching, then a cup in its place: the
-    strands' partners pair up, and i pairs with i+1.  Returns the new
-    matching and whether the cap closed a loop."""
+    strands' partners pair up, and i pairs with i+1.  The matching comes
+    back unchanged exactly when the cap closed a loop."""
     pair = x >> i & 3  # bit i is the low bit
-    if pair == 1:  # i opens, i+1 closes: they are partners
-        return x, True
+    if pair == 1:  # i opens, i+1 closes: they are partners, a loop closes
+        return x
     if pair == 2:  # i closes, i+1 opens: their partners pair up, bits unchanged
-        return x ^ (3 << i), False
+        return x ^ (3 << i)
     j = i + 1 if pair == 3 else i  # both open or both close: j and its partner flip
-    return x ^ (1 << j) ^ (1 << _partner(x, j)), False
+    return x ^ (1 << j) ^ (1 << _partner(x, j))
 
 
 def _cup(x: int, i: int) -> int:
@@ -169,8 +176,8 @@ def _cup(x: int, i: int) -> int:
 
 def _cap(x: int, i: int) -> tuple[int, bool]:
     """A cap on strands i, i+1: (the matching without them, loop closed)."""
-    x, loop = _join(x, i)
-    return (x >> (i + 2) << i) | (x & ((1 << i) - 1)), loop
+    y = _join(x, i)
+    return (y >> (i + 2) << i) | (y & ((1 << i) - 1)), y == x
 
 
 def kauffman_bracket(word: MorseWord) -> LaurentPoly:
@@ -195,38 +202,40 @@ def kauffman_bracket(word: MorseWord) -> LaurentPoly:
     odd = False  # whether the states' exponents are odd
     for e in word.events[:-1]:  # the last cap's loop counts 1
         i, t = (e >> 2) - 1, e & 3  # the event's bits (see events.MorseEvent)
-        nxt: dict[int, int] = {}
-        if t == 0:  # a cup
-            for x, poly in states.items():  # one-to-one: nothing is copied
-                nxt[_cup(x, i)] = poly
+        if t == 0:  # a cup, one-to-one
+            nxt = {_cup(x, i): poly for x, poly in states.items()}
         elif t == 1:  # a cap
-            while states:  # popping frees each old state once it is used
-                x, poly = states.popitem()
+            nxt = {}
+            for x, poly in states.items():
                 x, loop = _cap(x, i)
                 if loop:
                     poly = -(poly << bits) - (poly >> bits)
                 nxt[x] = nxt.get(x, 0) + poly
         else:
             # Even: A * p is P, A^-1 * p a digit down.  Odd: A^-1 * p is P,
-            # A * p a digit up.  A positive letter's A-smoothing is vertical.
+            # A * p a digit up.  A positive letter's A-smoothing is vertical,
+            # and a vertical smoothing keeps every matching.
             vertical_moves = (e & 1) == odd  # bit 0 set: a positive letter
-            while states:
-                x, poly = states.popitem()
-                moved = poly << bits if odd else poly >> bits
-                vertical, poly = (moved, poly) if vertical_moves else (poly, moved)
-                nxt[x] = nxt.get(x, 0) + vertical
-                x, loop = _join(x, i)
-                if loop:
+            if vertical_moves:
+                nxt = {x: poly << bits if odd else poly >> bits for x, poly in states.items()}
+            else:
+                nxt = states.copy()
+            for x, poly in states.items():  # the horizontal smoothing
+                if not vertical_moves:
+                    poly = poly << bits if odd else poly >> bits
+                y = _join(x, i)
+                if y == x:  # the cap closed a loop
                     poly = -(poly << bits) - (poly >> bits)
-                nxt[x] = nxt.get(x, 0) + poly
+                nxt[y] = nxt.get(y, 0) + poly
             odd = not odd
         states = nxt
     p, coeffs = states[0b01], {}  # two strands, each the other's partner
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    for exponent in range(odd - 2 * offset, 2 * offset + 2, 2):  # digits 0 to 2O
-        digit = ((p + half) & mask) - half  # the signed digit in [-B/2, B/2)
-        coeffs[exponent] = digit
-        p = (p - digit) >> bits
+    while p:  # digit by digit, from the lowest nonzero one up
+        k = ((p & -p).bit_length() - 1) // bits  # the lowest set bit's digit
+        digit = (((p >> k * bits) + half) & mask) - half  # signed, in [-B/2, B/2)
+        coeffs[odd + 2 * (k - offset)] = digit
+        p -= digit << k * bits
     return LaurentPoly(coeffs)
 
 

@@ -236,6 +236,23 @@ def oracle_bracket(word: MorseWord) -> dict:
     return total
 
 
+def oracle_torus_jones(p: int, q: int) -> dict:
+    """Jones polynomial of the (p, q) torus knot from its closed form
+    V(t) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2),
+    in A by t = A^4, the chirality of ``torus_plat``'s negative letters.
+    Dividing by 1 - t^2 multiplies by 1 + t^2 + t^4 + ...: the quotient's
+    coefficient at t^m sums the numerator's at t^m, t^(m-2), ..., and the
+    division is exact, so the quotient stops at t^(p+q-2)."""
+    numerator = ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1))
+    shift = (p - 1) * (q - 1) // 2
+    out = {}
+    for m in range(p + q - 1):
+        c = sum(c for e, c in numerator if e <= m and (m - e) % 2 == 0)
+        if c:
+            out[4 * (m + shift)] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Writhe by cycle walk plus the direction-parity rule.
 #

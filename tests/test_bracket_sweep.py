@@ -1,17 +1,20 @@
 """The level-sweep bracket against the state-sum oracle, on wide words,
-and on 13-18-crossing knots that a state sum could not afford."""
+and on 13-18-crossing knots that a state sum could not afford: there
+against the torus knots' closed form, and by its algebraic properties."""
 
 import random
 
 import pytest
 
+import morsewidth.bracket as bracket_mod
 from morsewidth.bracket import LaurentPoly, jones_normalized, kauffman_bracket
 from morsewidth.catalog import catalog, torus_plat
 from morsewidth.invariants import connected_sum
+from morsewidth.moves import MoveKind, apply_move, enumerate_moves
 from morsewidth.textio import parse
 
-from conftest import random_closed_word, random_knot_word
-from oracles import oracle_bracket
+from conftest import random_closed_word, random_knot_word, spy
+from oracles import oracle_bracket, oracle_jones, oracle_torus_jones
 
 # (p, q) with gcd 1 and 13 to 18 crossings; trunk 2p runs from 4 to 18.
 BIG_TORUS = [(2, 13), (2, 15), (2, 17), (3, 7), (3, 8), (4, 5), (5, 4), (9, 2)]
@@ -79,3 +82,44 @@ def test_jones_at_one_and_exponents():
         coeffs = jones_normalized(w).coefficients()
         assert sum(coeffs.values()) == 1, str(w)
         assert all(e % 4 == 0 for e in coeffs), str(w)
+
+
+def _inserted_and_scrambled(word, rng):
+    """One seeded R1 or R2 insertion that stays within 18 crossings, then
+    seeded moves that keep the crossing count."""
+    inserts = {MoveKind.R1_INSERT}
+    if word.crossing_count <= 16:
+        inserts.add(MoveKind.R2_INSERT)
+    scramble = {MoveKind.COMMUTE_DISTANT, MoveKind.YANG_BAXTER, MoveKind.ZIGZAG_INSERT,
+                MoveKind.ZIGZAG_CANCEL}
+    for kinds in [inserts] + [scramble] * 6:
+        word = apply_move(word, rng.choice([m for m in enumerate_moves(word) if m.kind in kinds]))
+    return word
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (2, 9), (5, 2)])
+def test_torus_closed_form_matches_the_state_sum(p, q):
+    assert oracle_jones(torus_plat(p, q)) == oracle_torus_jones(p, q)
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("p,q", BIG_TORUS)
+def test_big_torus_jones_closed_form(p, q, sign):
+    expected = LaurentPoly(oracle_torus_jones(p, q))
+    if sign > 0:
+        expected = mirror(expected)
+    word = torus_plat(p, q, sign)
+    copy = _inserted_and_scrambled(word, random.Random(f"{p} {q} {sign}"))
+    assert copy.events != word.events
+    assert word.crossing_count < copy.crossing_count <= 18
+    assert jones_normalized(word) == expected
+    assert jones_normalized(copy) == expected, str(copy)
+
+
+@pytest.mark.parametrize("p,q,joins", [(9, 2, 8835), (7, 2, 1234), (3, 5, 49)])
+def test_join_count(monkeypatch, p, q, joins):
+    # Every state that enters a crossing or a cap is joined once, so this is
+    # the number of states the sweep carries through them.
+    calls = spy(monkeypatch, "_join", bracket_mod)
+    kauffman_bracket(torus_plat(p, q))
+    assert len(calls) == joins

@@ -37,7 +37,9 @@ def test_join_and_cap(n):
         x = oracle_dyck(m)
         for i in range(n - 1):
             joined, loop = oracle_join(m, i)
-            assert _join(x, i) == (oracle_dyck(joined), loop), (m, i)
+            assert _join(x, i) == oracle_dyck(joined), (m, i)
+            # The sweep reads a loop from an unchanged matching.
+            assert (_join(x, i) == x) == loop, (m, i)
             capped, loop = oracle_cap(m, i)
             assert _cap(x, i) == (oracle_dyck(capped), loop), (m, i)
             pairs.add((x >> i & 1, x >> (i + 1) & 1))
