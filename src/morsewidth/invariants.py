@@ -139,7 +139,6 @@ _REPORT_FIELDS = (
     "width", "trunk", "height", "bridge", "critical_count",
     "otp_vector", "proportion", "average_trunk", "rep_upper", "waist_upper",
 )
-EmbeddingReport = LevelProfile
 
 
 def levels(counts: Sequence[int]) -> tuple[int, ...]:
@@ -212,7 +211,7 @@ def waist_upper_bound(word: MorseWord) -> int:
     return embedding_report(word).waist_upper
 
 
-def embedding_report(word: MorseWord) -> EmbeddingReport:
+def embedding_report(word: MorseWord) -> LevelProfile:
     return level_profile(require_knot(word))
 
 

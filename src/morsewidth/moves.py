@@ -27,9 +27,10 @@ An event is an int, its code (``events.MorseEvent``), so the caches here
 are keyed by the word's own events: ``_site``, keyed by the events from a
 site and the strand count below it, lists the site's moves, and
 ``_rewrite`` licenses a rewrite by its local check and says what it does
-to the levels and whether it is in normal form (``_normal``).  Both hand
-their windows to the rules as they are.  ``enumerate_moves`` walks the
-sites and reads ``_site``; ``apply_move`` and ``inverse_move`` read
+to the levels and whether it is in normal form (``canonical_key``, the
+one normal-form function, which the search runs too).  Both hand their
+windows to the rules as they are.  ``enumerate_moves`` walks the sites and
+reads ``_site``; ``apply_move`` and ``inverse_move`` read
 ``_site``, then ``_rewrite`` for each move they try.  A search reads
 ``_site`` alone: the first time it reads a site's entry for a rule,
 ``_records`` stores in it the ``_rewrite`` entry of each of its moves, so
@@ -276,7 +277,7 @@ def enumerate_moves(word: MorseWord) -> list[Move]:
     ev = require_closed(word, "a move").events
     return [
         Move(kind, k, params)
-        for k, n in enumerate(_counts(ev))
+        for k, n in enumerate(word.counts)
         for kind, _, found, _ in _site(ev[k : k + _REACH], n)
         for params in found
     ]
@@ -308,9 +309,9 @@ def _rewrite(rule: _Rule, window: tuple[MorseEvent, ...], params: tuple, n0: int
     levels.  Both levels end at the same top count, so the Gabai width of
     any word the move applies to changes by the difference of their sums
     and its critical count by the difference of their lengths.  In order
-    means that the rewrite is its own normal form (``_normal``); its first
-    and last events, None when it is empty, are what the search compares
-    across its seams with the word.  The new levels are the rewrite's
+    means that the rewrite is its own normal form (``canonical_key``); its
+    first and last events, None when it is empty, are what the search
+    compares across its seams with the word.  The new levels are the rewrite's
     levels without the top count: in the word's levels they take the place
     of the counts below the window's cups and caps."""
     new = tuple(rule.rewrite(window, params))
@@ -320,7 +321,7 @@ def _rewrite(rule: _Rule, window: tuple[MorseEvent, ...], params: tuple, n0: int
         shown = " -> ".join(" ".join(map(str, events)) for events in (window, new))
         raise InvalidMove(f"{shown} on {n0} strands changed the component count or the strands")
     old, now = levels(before.counts), levels(after.counts)
-    inner = _normal(new) is new
+    inner = canonical_key(new) is new
     first, last = (new[0], new[-1]) if new else (None, None)
     change = (sum(now) - sum(old), len(now) - len(old))
     return (new, old == now, *change, inner, first, last, now[:-1], len(old) - 1)
@@ -343,18 +344,20 @@ def inverse_move(word: MorseWord, move: Move) -> Move:
     raise InvalidMove(f"no move undoes {move} on {word}")
 
 
-def _normal(ev: tuple[MorseEvent, ...]) -> tuple[MorseEvent, ...]:
-    """The normal form of the events ``ev``, ``ev`` itself when every adjacent
-    pair is in order.  A pair (a, b) is out of order when both are crossings
-    and b's index is more than one below a's: within each maximal run of
-    consecutive crossings, a crossing sinks below any crossing more than one
-    index above it.  The swaps never reindex and are confluent (in
-    c < b - 1 < a - 3, a and c commute too), so this is the unique
-    lexicographic normal form of the run; two words equal up to it share a
-    key.  One scan returns ``ev`` when no adjacent pair is out of order, else
-    one insertion pass sorts it.  Crossings are never pulled past cups or
-    caps: that rewriting is order-sensitive and would make the key depend
-    on bubbling history."""
+def canonical_key(events: Sequence[MorseEvent]) -> tuple[MorseEvent, ...]:
+    """Normal form of a word or any event sequence, for visited sets: the
+    events as they are when every adjacent pair is in order (``events``
+    itself when it is a tuple), else the sorted events.  A pair (a, b) is
+    out of order when both are crossings and b's index is more than one
+    below a's: within each maximal run of consecutive crossings, a crossing
+    sinks below any crossing more than one index above it.  The swaps never
+    reindex and are confluent (in c < b - 1 < a - 3, a and c commute too),
+    so this is the unique lexicographic normal form of the run; two words
+    equal up to it share a key.  One scan returns the events when no
+    adjacent pair is out of order, else one insertion pass sorts them.
+    Crossings are never pulled past cups or caps: that rewriting is
+    order-sensitive and would make the key depend on bubbling history."""
+    ev = tuple(events)
     a = 0
     for b in ev:
         if a & b & 2 and b >> 2 < (a >> 2) - 1:
@@ -370,10 +373,3 @@ def _normal(ev: tuple[MorseEvent, ...]) -> tuple[MorseEvent, ...]:
                 j -= 1
             out[j] = b
     return tuple(out)
-
-
-def canonical_key(events: Sequence[MorseEvent]) -> tuple[MorseEvent, ...]:
-    """Normal form of a word or any event sequence, for visited sets (see
-    ``_normal``): the events as they are when they are in normal form, else
-    the sorted events."""
-    return _normal(tuple(events))

@@ -15,8 +15,8 @@ child splices its parent's with the rewrite's, and takes its key from
 another bounded memo, ``_level_key``, which builds a level profile only
 for levels it has not keyed.  Only the word a search returns is built as a
 validated ``MorseWord``, and only its trace as ``Move`` objects.
-Positions are deduplicated by the normal form of their events
-(``moves._normal``, which ``canonical_key`` runs too).
+Positions are deduplicated by the normal form of their events,
+``moves.canonical_key``, the one normal-form function.
 Order is a property of adjacent pairs, so an ordered position is its own
 key, and so is its child by a rewrite that is in order inside and with
 the events at its two seams: that needs no scan.
@@ -43,7 +43,6 @@ from .bracket import jones_normalized
 from .errors import BracketMismatch, BudgetExceeded, InvalidMove
 from .events import MorseWord, require_knot
 from .invariants import (
-    EmbeddingReport,
     LevelProfile,
     embedding_report,
     level_profile,
@@ -55,9 +54,9 @@ from .moves import (
     Move,
     MoveKind,
     _counts,
-    _normal,
     _records,
     _site,
+    canonical_key,
 )
 
 
@@ -108,6 +107,10 @@ class Objective:
 
 
 def _refuse_negative(name: str, value: int) -> None:
+    # A float or None would fail deep in the loop, or not at all; a bool
+    # would run as 0 or 1.
+    if type(value) is not int:
+        raise ValueError(f"{name.replace('_', ' ')} must be an int, got {value!r}")
     if value < 0:
         raise ValueError(f"{name.replace('_', ' ')} must be 0 or more, got {value}")
 
@@ -129,7 +132,7 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchResult:
     best_word: MorseWord
-    best_report: Optional[EmbeddingReport]
+    best_report: Optional[LevelProfile]
     trace: tuple[Move, ...]
     visited: int
     objective_value: tuple
@@ -212,7 +215,7 @@ def _frontier_search(
     which equals ``sorted(...)[:keep]``), and the least of all offers the
     best: it is selected even when ``keep`` is 0."""
     max_len = len(start.events) + insertion_budget
-    start_key = _normal(start.events)
+    start_key = canonical_key(start.events)
     visited = {start_key}
     carry = objective.kind not in _DELTA_FIELDS
     start_levels = levels(start.counts) if carry else None
@@ -248,7 +251,7 @@ def _frontier_search(
                         new = rewrite[0]
                         events = head + new + tail
                         # Order is a property of adjacent pairs
-                        # (moves._normal), so the child of an ordered word is
+                        # (canonical_key), so the child of an ordered word is
                         # ordered, and its own key with no scan, when the
                         # rewrite is in order and so are its seams (below,
                         # first) and (last, above); round an empty rewrite
@@ -259,7 +262,7 @@ def _frontier_search(
                             below & first & 2 and first >> 2 < (below >> 2) - 1
                             or last & above & 2 and above >> 2 < (last >> 2) - 1
                         ):
-                            key = _normal(events)
+                            key = canonical_key(events)
                         seen = len(visited)
                         visited.add(key)  # one hash per key
                         if len(visited) == seen:
@@ -333,7 +336,7 @@ def exhaustive_min(
 @dataclass(frozen=True)
 class ClassifiedPosition:
     word: MorseWord
-    report: EmbeddingReport
+    report: LevelProfile
     width_minimal: bool
     critical_minimal: bool
     otp_minimal: bool

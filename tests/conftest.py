@@ -139,7 +139,7 @@ def site_entries(word: MorseWord):
     moves on ``word``, one entry per site and rule: the walk of
     ``enumerate_moves`` over ``moves._site``, which a search makes too."""
     ev = word.events
-    for k, n in enumerate(moves_mod._counts(ev)):
+    for k, n in enumerate(word.counts):
         for kind, rule, found, _ in moves_mod._site(ev[k : k + moves_mod._REACH], n):
             yield k, n, kind, rule, found
 

@@ -52,6 +52,9 @@ class TestLaurentPoly:
         assert str(DELTA) == "-A^2 - A^-2"
         assert str(LaurentPoly({3: 1, 0: -2})) == "A^3 - 2"
 
+    def test_repr(self):
+        assert repr(DELTA) == "LaurentPoly({2: -1, -2: -1})"
+
     def test_hashable(self):
         assert hash(LaurentPoly({1: 1})) == hash(LaurentPoly({1: 1}))
 

@@ -84,6 +84,22 @@ class TestBeam:
         config = SearchConfig(**{field: 0})
         assert beam_search(TREFOIL, WIDTH, config).best_word == TREFOIL
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beam_width", True),
+            ("beam_width", 2.0),
+            ("max_steps", 2.5),
+            ("max_steps", None),
+            ("insertion_budget", 1.5),
+            ("insertion_budget", False),
+        ],
+    )
+    def test_a_bound_that_is_not_an_int_is_refused(self, field, value):
+        # A float would fail deep in the search or run silently, a bool as 0 or 1.
+        with pytest.raises(ValueError, match=f"{field.replace('_', ' ')} must be an int"):
+            SearchConfig(**{field: value})
+
 
 class TestExhaustive:
     def test_finds_trefoil_from_padded(self):
@@ -126,6 +142,15 @@ class TestExhaustive:
     )
     def test_negative_radius_or_budget_is_refused(self, bounds):
         with pytest.raises(ValueError, match="must be 0 or more"):
+            exhaustive_min(catalog("padded_trefoil"), WIDTH, **bounds)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("radius", 1.5), ("radius", True), ("radius", None), ("insertion_budget", 0.5)],
+    )
+    def test_a_radius_or_budget_that_is_not_an_int_is_refused(self, field, value):
+        bounds = {"radius": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field.replace('_', ' ')} must be an int"):
             exhaustive_min(catalog("padded_trefoil"), WIDTH, **bounds)
 
     def test_node_cap_carries_best(self, monkeypatch):

@@ -40,7 +40,7 @@ from conftest import (
 )
 from morsewidth.catalog import catalog, pad_with_fingers
 from morsewidth.catalog import entries as catalog_entries
-from morsewidth.events import MorseWord, cap, cross, cup
+from morsewidth.events import MorseEvent, MorseWord, cap, cross, cup
 from morsewidth.moves import (
     Move,
     MoveKind,
@@ -288,25 +288,31 @@ def test_a_fixed_search_makes_a_pinned_number_of_scans(monkeypatch):
     # The seam check spares most children of ordered positions a scan; a
     # looser check scans more keys and finds the same ones, so only this
     # count shows it.
-    scans = spy(monkeypatch, "_normal", search_mod)
+    scans = spy(monkeypatch, "canonical_key", search_mod)
     start = pad_with_fingers(catalog("trefoil_plat"), 2)
     result = beam_search(start, config=BEAM_8_STEPS_6)
     assert (len(scans), result.visited) == (244, 2726)
 
 
 def test_canonical_key_equals_the_bubble_oracle():
-    rng = random.Random(20261019)
-    sorted_inputs = 0
-    for n in range(2400):
-        events = random_events(rng) if n % 2 else random_closed_events(rng, max_events=30)
-        expected = oracle_canonical_key(events)
-        for given in (events, tuple(events)):
-            key = canonical_key(given)
-            assert type(key) is tuple and key == expected, [str(e) for e in events]
-        if n % 2 == 0:
-            assert canonical_key(MorseWord(events)) == expected
-        sorted_inputs += expected != tuple(events)
-    assert sorted_inputs > 600
+    # Two random streams, each half open words and half closed ones, and
+    # the least number of their inputs that are out of order.
+    for seed, count, least_moved in ((20261019, 2400, 600), (20261021, 2000, 500)):
+        rng = random.Random(seed)
+        moved = 0
+        for n in range(count):
+            events = random_events(rng) if n % 2 else random_closed_events(rng, max_events=30)
+            expected = oracle_canonical_key(events)
+            for given in (events, tuple(events)):
+                key = canonical_key(given)
+                assert type(key) is tuple and key == expected, [str(e) for e in events]
+                assert all(type(e) is MorseEvent for e in key)
+            # A tuple is its own key exactly when it is in normal form.
+            assert (key is given) is (expected == given)
+            if n % 2 == 0:
+                assert canonical_key(MorseWord(events)) == expected
+            moved += key is not given
+        assert moved > least_moved
     assert canonical_key(()) == () == canonical_key([]) == oracle_canonical_key(())
 
 
